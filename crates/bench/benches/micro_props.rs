@@ -64,7 +64,7 @@ fn bench_props(c: &mut Criterion) {
         .unwrap();
     let tags: TagMap = expand_rows.tags.clone();
     let batches: Vec<RecordBatch> = expand_rows
-        .records
+        .records()
         .chunks(1024)
         .map(|chunk| RecordBatch::from_records(chunk, tags.len()))
         .collect();

@@ -225,12 +225,10 @@ fn bench_storage(c: &mut Criterion) {
         let built = BatchEngine::new(g, EngineConfig::default())
             .execute(plan)
             .unwrap()
-            .records
             .len();
         let booted = BatchEngine::new(lg, EngineConfig::default())
             .execute(plan)
             .unwrap()
-            .records
             .len();
         assert_eq!(built, booted, "{name} plan diverges on the loaded graph");
         println!("expand_filter_{name}: {built} rows (built == image-loaded)");

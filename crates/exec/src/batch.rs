@@ -382,6 +382,10 @@ impl Column {
     /// operators' filtering/fan-out primitive: one kind dispatch per column,
     /// then a tight index loop).
     pub fn gather(&self, sel: &[u32]) -> Column {
+        if self.is_empty() {
+            // an absent (pruned) column stays absent
+            return Column::new();
+        }
         let mut validity = Bitmap::new();
         for &i in sel {
             validity.push(self.validity.get(i as usize));
@@ -523,6 +527,35 @@ impl RecordBatch {
         }
     }
 
+    /// [`gather`](Self::gather) restricted to the slots marked in `live`
+    /// (`live.len()` is the output width): a dead slot comes out *absent* —
+    /// an empty column that reads as null on every row, costs nothing to
+    /// carry and is skipped by every later gather.
+    pub fn gather_live(&self, sel: &[u32], live: &[bool]) -> RecordBatch {
+        let columns = live
+            .iter()
+            .enumerate()
+            .map(|(s, &keep)| match self.columns.get(s) {
+                Some(c) if keep => c.gather(sel),
+                _ => Column::new(),
+            })
+            .collect();
+        RecordBatch {
+            columns,
+            rows: sel.len(),
+        }
+    }
+
+    /// Assemble a batch of `rows` rows from columns that each hold `rows`
+    /// entries or are absent (empty).
+    pub fn with_rows(columns: Vec<Column>, rows: usize) -> RecordBatch {
+        assert!(
+            columns.iter().all(|c| c.len() == rows || c.is_empty()),
+            "every column holds `rows` entries or is absent"
+        );
+        RecordBatch { columns, rows }
+    }
+
     /// Assemble a batch from pre-built columns (all columns must have the same
     /// length).
     pub fn from_columns(columns: Vec<Column>) -> RecordBatch {
@@ -569,6 +602,9 @@ pub fn total_rows(batches: &[RecordBatch]) -> usize {
 pub struct BatchBuilder {
     width: usize,
     batch_size: usize,
+    /// Slots [`push_row_from`](Self::push_row_from) copies; the rest stay
+    /// absent.
+    slots: Vec<usize>,
     current: RecordBatch,
     done: Vec<RecordBatch>,
 }
@@ -577,10 +613,18 @@ impl BatchBuilder {
     /// A builder producing batches of `width` columns and at most `batch_size`
     /// rows.
     pub fn new(width: usize, batch_size: usize) -> Self {
+        Self::with_live(&vec![true; width], batch_size)
+    }
+
+    /// A builder of `live.len()` columns whose
+    /// [`push_row_from`](Self::push_row_from) copies only the slots marked
+    /// live; dead slots come out absent (see [`RecordBatch::gather_live`]).
+    pub fn with_live(live: &[bool], batch_size: usize) -> Self {
         BatchBuilder {
-            width,
+            width: live.len(),
             batch_size: batch_size.max(1),
-            current: RecordBatch::new(width),
+            slots: (0..live.len()).filter(|&s| live[s]).collect(),
+            current: RecordBatch::new(live.len()),
             done: Vec::new(),
         }
     }
@@ -606,14 +650,15 @@ impl BatchBuilder {
         row: usize,
         overrides: &[(usize, EntryRef<'_>)],
     ) {
-        let width = self.width;
-        self.current.push_row((0..width).map(|slot| {
-            overrides
+        for &slot in &self.slots {
+            let entry = overrides
                 .iter()
                 .find(|(s, _)| *s == slot)
                 .map(|(_, e)| *e)
-                .unwrap_or_else(|| src.entry(slot, row))
-        }));
+                .unwrap_or_else(|| src.entry(slot, row));
+            self.current.columns[slot].push(entry);
+        }
+        self.current.rows += 1;
         self.roll();
     }
 

@@ -177,6 +177,13 @@ impl QueryContext {
         }
     }
 
+    /// Return `n` metered bytes: the state they paid for (a consumed
+    /// operator output, a finished breaker's tables) is no longer resident.
+    #[inline]
+    pub fn release_bytes(&self, n: u64) {
+        self.inner.bytes.fetch_sub(n, Ordering::Relaxed);
+    }
+
     /// Time remaining until the configured deadline: `None` when no deadline
     /// is set, `Some(Duration::ZERO)` once it has passed. Admission layers
     /// use this to bound how long a queued query may wait for a pool slot.
@@ -186,7 +193,7 @@ impl QueryContext {
             .map(|(at, _)| at.saturating_duration_since(Instant::now()))
     }
 
-    /// Total bytes metered so far.
+    /// Bytes currently metered (charged and not yet released).
     pub fn bytes_charged(&self) -> u64 {
         self.inner.bytes.load(Ordering::Relaxed)
     }

@@ -103,48 +103,70 @@ pub struct ExecStats {
     pub elapsed_micros: u128,
 }
 
-/// The result of executing a plan.
+/// The result of executing a plan: the root operator's batches, kept
+/// columnar until a caller asks for rows.
 #[derive(Debug, Clone)]
 pub struct ExecResult {
-    /// Final output records.
-    pub records: Vec<Record>,
-    /// Tag → slot mapping of the final records.
+    batches: Vec<RecordBatch>,
+    /// Tag → slot mapping of the final rows.
     pub tags: TagMap,
     /// Execution statistics.
     pub stats: ExecStats,
 }
 
 impl ExecResult {
-    /// Number of result records.
+    /// A result over the root operator's output batches.
+    pub fn new(batches: Vec<RecordBatch>, tags: TagMap, stats: ExecStats) -> Self {
+        ExecResult {
+            batches,
+            tags,
+            stats,
+        }
+    }
+
+    /// A result over scalar records (one batch of `tags.len()` columns).
+    pub fn from_records(records: &[Record], tags: TagMap, stats: ExecStats) -> Self {
+        let batch = RecordBatch::from_records(records, tags.len());
+        ExecResult::new(vec![batch], tags, stats)
+    }
+
+    /// Number of result rows.
     pub fn len(&self) -> usize {
-        self.records.len()
+        batch::total_rows(&self.batches)
     }
 
     /// Whether the result is empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
+    }
+
+    /// The result rows as scalar records.
+    pub fn records(&self) -> Vec<Record> {
+        self.batches.iter().flat_map(|b| b.to_records()).collect()
+    }
+
+    /// One value row per result row, reading the given slots (`None` = null).
+    fn rows_of(&self, slots: &[Option<usize>]) -> Vec<Vec<PropValue>> {
+        let mut rows = Vec::with_capacity(self.len());
+        for b in &self.batches {
+            rows.extend((0..b.rows()).map(|row| {
+                slots
+                    .iter()
+                    .map(|s| s.map_or(PropValue::Null, |s| b.entry(s, row).to_value()))
+                    .collect::<Vec<_>>()
+            }));
+        }
+        rows
     }
 
     /// All result rows converted to plain values (slot order).
     pub fn rows(&self) -> Vec<Vec<PropValue>> {
-        self.records
-            .iter()
-            .map(|r| (0..self.tags.len()).map(|s| r.get(s).to_value()).collect())
-            .collect()
+        self.rows_of(&(0..self.tags.len()).map(Some).collect::<Vec<_>>())
     }
 
     /// Result rows restricted to the given tags (in the given order).
     pub fn rows_for(&self, tags: &[&str]) -> Vec<Vec<PropValue>> {
-        let slots: Vec<Option<usize>> = tags.iter().map(|t| self.tags.slot(t)).collect();
-        self.records
-            .iter()
-            .map(|r| {
-                slots
-                    .iter()
-                    .map(|s| s.map(|s| r.get(s).to_value()).unwrap_or(PropValue::Null))
-                    .collect()
-            })
-            .collect()
+        self.rows_of(&tags.iter().map(|t| self.tags.slot(t)).collect::<Vec<_>>())
     }
 
     /// Sorted full rows — convenient for order-insensitive result comparisons in tests.
@@ -241,11 +263,7 @@ impl<'a> Engine<'a> {
             .take()
             .expect("root was executed last");
         stats.elapsed_micros = start.elapsed().as_micros();
-        Ok(ExecResult {
-            records,
-            tags,
-            stats,
-        })
+        Ok(ExecResult::from_records(&records, tags, stats))
     }
 
     fn take_input<'b>(
@@ -571,16 +589,8 @@ impl<'a> BatchEngine<'a> {
         let (batches, tags) = outputs[plan.root().0]
             .take()
             .expect("root was executed last");
-        let mut records = Vec::with_capacity(batch::total_rows(&batches));
-        for b in &batches {
-            records.extend(b.to_records());
-        }
         stats.elapsed_micros = start.elapsed().as_micros();
-        Ok(ExecResult {
-            records,
-            tags,
-            stats,
-        })
+        Ok(ExecResult::new(batches, tags, stats))
     }
 
     fn take_input<'b>(
@@ -628,83 +638,14 @@ impl<'a> BatchEngine<'a> {
                     expand::scan_batches(self.graph, &mut tags, alias, constraint, predicate, bs);
                 Ok((batches, tags))
             }
-            PhysicalOp::EdgeExpand {
-                src,
-                edge_alias,
-                edge_constraint,
-                direction,
-                dst_alias,
-                dst_constraint,
-                dst_predicate,
-                edge_predicate,
-            } => {
-                let input = Self::take_input("EdgeExpand", inputs, outputs, 1)?;
+            PhysicalOp::EdgeExpand { .. }
+            | PhysicalOp::ExpandInto { .. }
+            | PhysicalOp::ExpandIntersect { .. } => {
+                let input = Self::take_input(op_name(op), inputs, outputs, 1)?;
                 let (batches, in_tags) = input[0];
                 let mut tags = in_tags.clone();
-                let args = EdgeExpandArgs {
-                    src,
-                    edge_alias: edge_alias.as_deref(),
-                    edge_constraint,
-                    direction: *direction,
-                    dst_alias,
-                    dst_constraint,
-                    dst_predicate,
-                    edge_predicate,
-                };
                 let (out, comm) =
-                    expand::edge_expand_batches(self.graph, batches, &mut tags, &args, pm, bs)?;
-                stats.comm_records += comm.shipped;
-                stats.locality_hits += comm.local_hits;
-                Ok((out, tags))
-            }
-            PhysicalOp::ExpandInto {
-                src,
-                dst,
-                edge_constraint,
-                direction,
-                edge_alias,
-                edge_predicate,
-            } => {
-                let input = Self::take_input("ExpandInto", inputs, outputs, 1)?;
-                let (batches, in_tags) = input[0];
-                let mut tags = in_tags.clone();
-                let (out, comm) = expand::expand_into_batches(
-                    self.graph,
-                    batches,
-                    &mut tags,
-                    src,
-                    dst,
-                    edge_constraint,
-                    *direction,
-                    edge_alias.as_deref(),
-                    edge_predicate,
-                    pm,
-                    bs,
-                )?;
-                stats.comm_records += comm.shipped;
-                stats.locality_hits += comm.local_hits;
-                Ok((out, tags))
-            }
-            PhysicalOp::ExpandIntersect {
-                steps,
-                dst_alias,
-                dst_constraint,
-                dst_predicate,
-            } => {
-                let input = Self::take_input("ExpandIntersect", inputs, outputs, 1)?;
-                let (batches, in_tags) = input[0];
-                let mut tags = in_tags.clone();
-                let (out, comm) = expand::expand_intersect_batches(
-                    self.graph,
-                    batches,
-                    &mut tags,
-                    steps,
-                    dst_alias,
-                    dst_constraint,
-                    dst_predicate,
-                    pm,
-                    bs,
-                )?;
+                    expand::expand_batches(self.graph, batches, &mut tags, op, pm, bs)?;
                 stats.comm_records += comm.shipped;
                 stats.locality_hits += comm.local_hits;
                 Ok((out, tags))

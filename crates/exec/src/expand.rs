@@ -17,12 +17,14 @@
 //! always zero.
 //!
 //! Every operator exists in two forms sharing the same traversal code: the scalar form
-//! over `&[Record]` and a batched form (`*_batches`) over `&[RecordBatch]` columns.
-//! The batched forms are the hot path: they read source vertices from a contiguous
-//! column, evaluate compiled predicates (tag → slot resolution hoisted out of the row
-//! loop), reuse scratch buffers across the whole input, and emit selection vectors
-//! that are gathered column-by-column. The batch contract: same rows, same order, same
-//! `comm` as the scalar form, with output batches of at most `batch_size` rows.
+//! over `&[Record]` and a batched form over `&[RecordBatch]` columns (`*_batches`; the
+//! three selection-vector expands share [`expand_batches`] and the `ExpandKernel` the
+//! morsel engine also runs). The batched forms are the hot path: they read source
+//! vertices from a contiguous column, evaluate compiled predicates (tag → slot
+//! resolution hoisted out of the row loop), reuse scratch buffers across the whole
+//! input, and emit selection vectors that are gathered column-by-column. The batch
+//! contract: same rows, same order, same `comm` as the scalar form, with output batches
+//! of at most `batch_size` rows.
 
 use crate::record::{Entry, Record, RecordContext, TagMap};
 use gopt_gir::expr::Expr;
@@ -702,6 +704,24 @@ pub fn path_expand(
 
 use crate::batch::{BatchBuilder, BatchRow, Column, CompiledExpr, EntryRef, RecordBatch};
 
+/// Whether `row` (with `overrides` on top) satisfies an optional predicate.
+fn passes<G: GraphView>(
+    pred: &Option<CompiledExpr>,
+    graph: &G,
+    batch: &RecordBatch,
+    row: usize,
+    overrides: &[(usize, EntryRef<'_>)],
+) -> bool {
+    pred.as_ref().is_none_or(|p| {
+        p.eval_predicate(&BatchRow {
+            graph,
+            batch,
+            row,
+            overrides,
+        })
+    })
+}
+
 /// Check a candidate vertex against the destination constraint and compiled
 /// predicate, probing with a slot override instead of cloning the row.
 #[inline]
@@ -711,52 +731,11 @@ fn batch_vertex_matches<G: GraphView>(
     row: usize,
     v: VertexId,
     constraint: &TypeConstraint,
-    predicate: Option<&CompiledExpr>,
+    predicate: &Option<CompiledExpr>,
     slot: usize,
 ) -> bool {
-    if !constraint.contains(graph.vertex_label(v)) {
-        return false;
-    }
-    match predicate {
-        None => true,
-        Some(p) => {
-            let overrides = [(slot, EntryRef::Vertex(v))];
-            p.eval_predicate(&BatchRow {
-                graph,
-                batch,
-                row,
-                overrides: &overrides,
-            })
-        }
-    }
-}
-
-/// Cut a selection vector plus freshly produced columns into output batches:
-/// each chunk of `sel` is gathered column-wise from `src` and the new
-/// destination (and optional edge) column slices are installed on top.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn flush_selection(
-    src: &RecordBatch,
-    sel: &[u32],
-    width: usize,
-    batch_size: usize,
-    dst_slot: Option<(usize, &[VertexId])>,
-    edge_slot: Option<(usize, &[EdgeId])>,
-    out: &mut Vec<RecordBatch>,
-) {
-    let mut start = 0;
-    while start < sel.len() {
-        let end = (start + batch_size).min(sel.len());
-        let mut batch = src.gather(&sel[start..end], width);
-        if let Some((slot, vals)) = dst_slot {
-            batch.set_column(slot, Column::vertices(vals[start..end].to_vec()));
-        }
-        if let Some((slot, vals)) = edge_slot {
-            batch.set_column(slot, Column::edges(vals[start..end].to_vec()));
-        }
-        out.push(batch);
-        start = end;
-    }
+    constraint.contains(graph.vertex_label(v))
+        && passes(predicate, graph, batch, row, &[(slot, EntryRef::Vertex(v))])
 }
 
 /// Batched [`scan`]: one vertex-id column per output batch.
@@ -819,409 +798,316 @@ pub fn scan_batches<G: GraphView>(
     out
 }
 
-/// Resolved slots, labels and compiled predicates of one batched `EdgeExpand`
-/// call — everything that is hoisted out of the per-batch kernel. Shared by
-/// [`edge_expand_batches`] and the morsel executor in [`crate::parallel`].
-pub(crate) struct EdgeExpandCompiled {
-    pub(crate) src_slot: usize,
-    pub(crate) dst_slot: usize,
-    pub(crate) edge_slot: Option<usize>,
-    pub(crate) labels: Vec<LabelId>,
-    pub(crate) direction: Direction,
-    pub(crate) dst_constraint: TypeConstraint,
-    pub(crate) dst_pred: Option<CompiledExpr>,
-    pub(crate) edge_pred: Option<CompiledExpr>,
-}
-
-impl EdgeExpandCompiled {
-    /// Resolve tags (registering the destination/edge aliases) and compile the
-    /// predicates of `args` once per operator call.
-    pub(crate) fn resolve<G: GraphView>(
-        graph: &G,
-        tags: &mut TagMap,
-        args: &EdgeExpandArgs<'_>,
-    ) -> Result<EdgeExpandCompiled, crate::error::ExecError> {
-        let src_slot = tags
-            .slot(args.src)
-            .ok_or_else(|| crate::error::ExecError::UnboundTag(args.src.to_string()))?;
-        let dst_slot = tags.slot_or_insert(args.dst_alias);
-        let edge_slot = args.edge_alias.map(|a| tags.slot_or_insert(a));
-        let labels = edge_labels(graph, args.edge_constraint);
-        Ok(EdgeExpandCompiled {
-            src_slot,
-            dst_slot,
-            edge_slot,
-            labels,
-            direction: args.direction,
-            dst_constraint: args.dst_constraint.clone(),
-            dst_pred: args
-                .dst_predicate
-                .as_ref()
-                .map(|p| CompiledExpr::compile(p, tags, graph)),
-            edge_pred: args
-                .edge_predicate
-                .as_ref()
-                .map(|p| CompiledExpr::compile(p, tags, graph)),
-        })
-    }
-}
-
-/// Per-batch `EdgeExpand` kernel: appends one entry per produced row to the
-/// selection vector (`sel`, input-row indices in ascending order) and the
-/// destination/edge value vectors, and tallies the rows whose destination
-/// vertex lives on a different partition than the source — shipped at the
-/// expand boundary, or served locally when the destination is a hub replica.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn edge_expand_kernel<G: GraphView>(
-    graph: &G,
-    batch: &RecordBatch,
-    c: &EdgeExpandCompiled,
-    pm: Option<&PartitionMap>,
-    candidates: &mut Vec<(EdgeId, VertexId)>,
-    sel: &mut Vec<u32>,
-    dst_vals: &mut Vec<VertexId>,
-    edge_vals: &mut Vec<EdgeId>,
-) -> CommTally {
-    let mut comm = CommTally::default();
-    for row in 0..batch.rows() {
-        let Some(src) = batch.entry(c.src_slot, row).as_vertex() else {
-            continue;
-        };
-        collect_expand_candidates(graph, src, &c.labels, c.direction, candidates);
-        for &(edge, neighbor) in candidates.iter() {
-            if !batch_vertex_matches(
-                graph,
-                batch,
-                row,
-                neighbor,
-                &c.dst_constraint,
-                c.dst_pred.as_ref(),
-                c.dst_slot,
-            ) {
-                continue;
-            }
-            if let Some(p) = &c.edge_pred {
-                let overrides: &[(usize, EntryRef)] = match c.edge_slot {
-                    Some(es) => &[(es, EntryRef::Edge(edge))],
-                    None => &[],
-                };
-                if !p.eval_predicate(&BatchRow {
-                    graph,
-                    batch,
-                    row,
-                    overrides,
-                }) {
-                    continue;
-                }
-            }
-            charge_crossing(pm, src, neighbor, &mut comm);
-            sel.push(row as u32);
-            dst_vals.push(neighbor);
-            edge_vals.push(edge);
-        }
-    }
-    comm
-}
-
-/// Batched [`edge_expand`]: reads the source column, emits a selection vector
-/// plus destination/edge columns per input batch.
-pub fn edge_expand_batches<G: GraphView>(
-    graph: &G,
-    input: &[RecordBatch],
-    tags: &mut TagMap,
-    args: &EdgeExpandArgs<'_>,
-    pm: Option<&PartitionMap>,
-    batch_size: usize,
-) -> Result<(Vec<RecordBatch>, CommTally), crate::error::ExecError> {
-    let compiled = EdgeExpandCompiled::resolve(graph, tags, args)?;
-    let width = tags.len();
-    let mut out = Vec::new();
-    let mut comm = CommTally::default();
-    // scratch reused across the whole input, not per row
-    let mut candidates: Vec<(gopt_graph::EdgeId, VertexId)> = Vec::new();
-    let mut sel: Vec<u32> = Vec::new();
-    let mut dst_vals: Vec<VertexId> = Vec::new();
-    let mut edge_vals: Vec<EdgeId> = Vec::new();
-    for batch in input {
-        sel.clear();
-        dst_vals.clear();
-        edge_vals.clear();
-        comm += edge_expand_kernel(
-            graph,
-            batch,
-            &compiled,
-            pm,
-            &mut candidates,
-            &mut sel,
-            &mut dst_vals,
-            &mut edge_vals,
-        );
-        flush_selection(
-            batch,
-            &sel,
-            width,
-            batch_size,
-            Some((compiled.dst_slot, &dst_vals)),
-            compiled.edge_slot.map(|es| (es, edge_vals.as_slice())),
-            &mut out,
-        );
-    }
-    Ok((out, comm))
-}
-
-/// Batched [`expand_into`].
-#[allow(clippy::too_many_arguments)]
-pub fn expand_into_batches<G: GraphView>(
-    graph: &G,
-    input: &[RecordBatch],
-    tags: &mut TagMap,
-    src: &str,
-    dst: &str,
-    edge_constraint: &TypeConstraint,
-    direction: Direction,
-    edge_alias: Option<&str>,
-    edge_predicate: &Option<Expr>,
-    pm: Option<&PartitionMap>,
-    batch_size: usize,
-) -> Result<(Vec<RecordBatch>, CommTally), crate::error::ExecError> {
-    let src_slot = tags
-        .slot(src)
-        .ok_or_else(|| crate::error::ExecError::UnboundTag(src.to_string()))?;
-    let dst_slot = tags
-        .slot(dst)
-        .ok_or_else(|| crate::error::ExecError::UnboundTag(dst.to_string()))?;
-    let edge_slot = edge_alias.map(|a| tags.slot_or_insert(a));
-    let width = tags.len();
-    let labels = edge_labels(graph, edge_constraint);
-    let edge_pred = edge_predicate
-        .as_ref()
-        .map(|p| CompiledExpr::compile(p, tags, graph));
-    let mut out = Vec::new();
-    let mut comm = CommTally::default();
-    let mut sel: Vec<u32> = Vec::new();
-    let mut edge_vals: Vec<EdgeId> = Vec::new();
-    for batch in input {
-        sel.clear();
-        edge_vals.clear();
-        comm += expand_into_kernel(
-            graph,
-            batch,
-            src_slot,
-            dst_slot,
-            edge_slot,
-            &labels,
-            direction,
-            edge_pred.as_ref(),
-            pm,
-            &mut sel,
-            &mut edge_vals,
-        );
-        flush_selection(
-            batch,
-            &sel,
-            width,
-            batch_size,
-            None,
-            edge_slot.map(|es| (es, edge_vals.as_slice())),
-            &mut out,
-        );
-    }
-    Ok((out, comm))
-}
-
-/// Per-batch `ExpandInto` kernel: selection vector + connecting-edge values,
-/// tallying the kept rows whose endpoints live on different partitions.
-/// Shared by [`expand_into_batches`] and the morsel executor.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn expand_into_kernel<G: GraphView>(
-    graph: &G,
-    batch: &RecordBatch,
-    src_slot: usize,
-    dst_slot: usize,
-    edge_slot: Option<usize>,
-    labels: &[LabelId],
-    direction: Direction,
-    edge_pred: Option<&CompiledExpr>,
-    pm: Option<&PartitionMap>,
-    sel: &mut Vec<u32>,
-    edge_vals: &mut Vec<EdgeId>,
-) -> CommTally {
-    let mut comm = CommTally::default();
-    for row in 0..batch.rows() {
-        let (Some(s), Some(d)) = (
-            batch.entry(src_slot, row).as_vertex(),
-            batch.entry(dst_slot, row).as_vertex(),
-        ) else {
-            continue;
-        };
-        let Some(e) = find_connecting_edge(graph, s, d, labels, direction) else {
-            continue;
-        };
-        if let Some(p) = edge_pred {
-            let overrides: &[(usize, EntryRef)] = match edge_slot {
-                Some(es) => &[(es, EntryRef::Edge(e))],
-                None => &[],
-            };
-            if !p.eval_predicate(&BatchRow {
-                graph,
-                batch,
-                row,
-                overrides,
-            }) {
-                continue;
-            }
-        }
-        charge_crossing(pm, s, d, &mut comm);
-        sel.push(row as u32);
-        edge_vals.push(e);
-    }
-    comm
-}
-
-/// Batched [`expand_intersect`]: the CSR segment gathering and galloping
-/// merge-intersection run over a whole batch with shared scratch buffers.
-#[allow(clippy::too_many_arguments)]
-pub fn expand_intersect_batches<G: GraphView>(
-    graph: &G,
-    input: &[RecordBatch],
-    tags: &mut TagMap,
-    steps: &[IntersectStep],
-    dst_alias: &str,
-    dst_constraint: &TypeConstraint,
-    dst_predicate: &Option<Expr>,
-    pm: Option<&PartitionMap>,
-    batch_size: usize,
-) -> Result<(Vec<RecordBatch>, CommTally), crate::error::ExecError> {
-    let dst_slot = tags.slot_or_insert(dst_alias);
-    let mut step_slots = Vec::with_capacity(steps.len());
-    for s in steps {
-        step_slots.push(
-            tags.slot(&s.src)
-                .ok_or_else(|| crate::error::ExecError::UnboundTag(s.src.clone()))?,
-        );
-    }
-    let width = tags.len();
-    let step_labels: Vec<Vec<LabelId>> = steps
-        .iter()
-        .map(|s| edge_labels(graph, &s.edge_constraint))
-        .collect();
-    let dst_pred = dst_predicate
-        .as_ref()
-        .map(|p| CompiledExpr::compile(p, tags, graph));
-    let mut out = Vec::new();
-    let mut comm = CommTally::default();
-    let mut scratch = IntersectScratch::default();
-    let mut sel: Vec<u32> = Vec::new();
-    let mut dst_vals: Vec<VertexId> = Vec::new();
-    for batch in input {
-        sel.clear();
-        dst_vals.clear();
-        comm += expand_intersect_kernel(
-            graph,
-            batch,
-            steps,
-            &step_slots,
-            &step_labels,
-            dst_slot,
-            dst_constraint,
-            dst_pred.as_ref(),
-            pm,
-            &mut scratch,
-            &mut sel,
-            &mut dst_vals,
-        );
-        flush_selection(
-            batch,
-            &sel,
-            width,
-            batch_size,
-            Some((dst_slot, &dst_vals)),
-            None,
-            &mut out,
-        );
-    }
-    Ok((out, comm))
-}
-
-/// Reusable buffers of the intersection kernel: the running candidate set,
-/// the next step's neighbour list, and the merge output.
+/// Buffers of one [`ExpandKernel::run`]: the selection vector (input row per
+/// output row, ascending) with the new destination / edge values beside it,
+/// plus the kernels' internal scratch. A worker keeps one per stage and
+/// reuses it for every morsel.
 #[derive(Default)]
-pub(crate) struct IntersectScratch {
+pub(crate) struct KernelScratch {
+    pub(crate) sel: Vec<u32>,
+    pub(crate) dst: Vec<VertexId>,
+    pub(crate) edge: Vec<EdgeId>,
+    candidates: Vec<(EdgeId, VertexId)>,
+    /// Intersection: the running candidate set, the next step's neighbour
+    /// list, and the merge output.
     cur: Vec<VertexId>,
     step_buf: Vec<VertexId>,
     merged: Vec<VertexId>,
 }
 
-/// Per-batch `ExpandIntersect` kernel: selection vector + intersected
-/// destination values, tallying the input rows whose step sources live on
-/// different partitions (the record is shipped once to perform the
-/// intersection, unless hub replicas cover the spread). Shared by
-/// [`expand_intersect_batches`] and the morsel executor.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn expand_intersect_kernel<G: GraphView>(
-    graph: &G,
-    batch: &RecordBatch,
-    steps: &[IntersectStep],
-    step_slots: &[usize],
-    step_labels: &[Vec<LabelId>],
+/// A selection-vector expand (`EdgeExpand`, `ExpandInto`, `ExpandIntersect`)
+/// with tags resolved, labels materialized and predicates compiled — all that
+/// is hoisted out of the per-batch kernel. The batched engine runs it batch
+/// after batch; the morsel engine as a fused pipeline stage, or between the
+/// route and merge halves of a partition exchange.
+pub(crate) enum ExpandKernel<'p> {
+    Edge(EdgeKernel<'p>),
+    Into(EdgeKernel<'p>),
+    Intersect(IntersectKernel<'p>),
+}
+
+/// `EdgeExpand` (binds `dst_slot` to each admitted neighbour of `src_slot`)
+/// or `ExpandInto` (keeps the rows whose bound `src_slot` and `dst_slot` are
+/// connected; no destination constraint or predicate).
+pub(crate) struct EdgeKernel<'p> {
+    src_slot: usize,
     dst_slot: usize,
-    dst_constraint: &TypeConstraint,
-    dst_pred: Option<&CompiledExpr>,
-    pm: Option<&PartitionMap>,
-    scratch: &mut IntersectScratch,
-    sel: &mut Vec<u32>,
-    dst_vals: &mut Vec<VertexId>,
-) -> CommTally {
-    let mut comm = CommTally::default();
-    let IntersectScratch {
-        cur,
-        step_buf,
-        merged,
-    } = scratch;
-    for row in 0..batch.rows() {
-        if steps.len() > 1 {
-            charge_intersect_row(
-                pm,
-                step_slots.iter().zip(steps).filter_map(|(&slot, step)| {
-                    batch
-                        .entry(slot, row)
-                        .as_vertex()
-                        .map(|v| (v, step.direction))
-                }),
-                &mut comm,
-            );
-        }
-        cur.clear();
-        let mut initialized = false;
-        for (i, (step, &slot)) in steps.iter().zip(step_slots).enumerate() {
-            let Some(src) = batch.entry(slot, row).as_vertex() else {
-                cur.clear();
-                initialized = true;
-                break;
-            };
-            if !initialized {
-                gather_sorted_neighbors(graph, src, &step_labels[i], step.direction, cur);
-                initialized = true;
-            } else {
-                gather_sorted_neighbors(graph, src, &step_labels[i], step.direction, step_buf);
-                intersect_sorted_into(cur, step_buf, merged);
-                std::mem::swap(cur, merged);
+    edge_slot: Option<usize>,
+    labels: Vec<LabelId>,
+    direction: Direction,
+    dst: Option<(&'p TypeConstraint, Option<CompiledExpr>)>,
+    edge_pred: Option<CompiledExpr>,
+}
+
+pub(crate) struct IntersectKernel<'p> {
+    steps: &'p [IntersectStep],
+    step_slots: Vec<usize>,
+    step_labels: Vec<Vec<LabelId>>,
+    dst_slot: usize,
+    dst_constraint: &'p TypeConstraint,
+    dst_pred: Option<CompiledExpr>,
+}
+
+pub(crate) fn bound(tags: &TagMap, tag: &str) -> Result<usize, crate::error::ExecError> {
+    tags.slot(tag)
+        .ok_or_else(|| crate::error::ExecError::UnboundTag(tag.to_string()))
+}
+
+impl<'p> ExpandKernel<'p> {
+    /// Resolve `op` against `tags`, registering the aliases it binds. `None`
+    /// when `op` is not a selection-vector expand.
+    pub(crate) fn compile<G: GraphView>(
+        graph: &G,
+        op: &'p gopt_gir::physical::PhysicalOp,
+        tags: &mut TagMap,
+    ) -> Result<Option<Self>, crate::error::ExecError> {
+        use gopt_gir::physical::PhysicalOp;
+        let pred = |p: &Option<Expr>, tags: &TagMap| {
+            p.as_ref().map(|p| CompiledExpr::compile(p, tags, graph))
+        };
+        Ok(Some(match op {
+            PhysicalOp::EdgeExpand {
+                src,
+                edge_alias,
+                edge_constraint,
+                direction,
+                dst_alias,
+                dst_constraint,
+                dst_predicate,
+                edge_predicate,
+            } => {
+                let src_slot = bound(tags, src)?;
+                let dst_slot = tags.slot_or_insert(dst_alias);
+                ExpandKernel::Edge(EdgeKernel {
+                    src_slot,
+                    dst_slot,
+                    edge_slot: edge_alias.as_deref().map(|a| tags.slot_or_insert(a)),
+                    labels: edge_labels(graph, edge_constraint),
+                    direction: *direction,
+                    dst: Some((dst_constraint, pred(dst_predicate, tags))),
+                    edge_pred: pred(edge_predicate, tags),
+                })
             }
-            if cur.is_empty() {
-                break;
+            PhysicalOp::ExpandInto {
+                src,
+                dst,
+                edge_constraint,
+                direction,
+                edge_alias,
+                edge_predicate,
+            } => {
+                let (src_slot, dst_slot) = (bound(tags, src)?, bound(tags, dst)?);
+                ExpandKernel::Into(EdgeKernel {
+                    src_slot,
+                    dst_slot,
+                    edge_slot: edge_alias.as_deref().map(|a| tags.slot_or_insert(a)),
+                    labels: edge_labels(graph, edge_constraint),
+                    direction: *direction,
+                    dst: None,
+                    edge_pred: pred(edge_predicate, tags),
+                })
             }
-        }
-        if !initialized {
-            continue;
-        }
-        for &v in cur.iter() {
-            if batch_vertex_matches(graph, batch, row, v, dst_constraint, dst_pred, dst_slot) {
-                sel.push(row as u32);
-                dst_vals.push(v);
+            PhysicalOp::ExpandIntersect {
+                steps,
+                dst_alias,
+                dst_constraint,
+                dst_predicate,
+            } => {
+                let dst_slot = tags.slot_or_insert(dst_alias);
+                let step_slots: Result<Vec<_>, _> =
+                    steps.iter().map(|s| bound(tags, &s.src)).collect();
+                // per-step edge labels are fixed across rows: materialize once
+                let step_labels = steps.iter().map(|s| edge_labels(graph, &s.edge_constraint));
+                ExpandKernel::Intersect(IntersectKernel {
+                    steps,
+                    step_slots: step_slots?,
+                    step_labels: step_labels.collect(),
+                    dst_slot,
+                    dst_constraint,
+                    dst_pred: pred(dst_predicate, tags),
+                })
             }
+            _ => return Ok(None),
+        }))
+    }
+
+    /// The slot whose vertex a partition exchange routes rows by, and the
+    /// adjacency direction read from it (an intersection is performed on its
+    /// first step source's partition).
+    pub(crate) fn route(&self) -> (usize, Direction) {
+        match self {
+            ExpandKernel::Edge(k) | ExpandKernel::Into(k) => (k.src_slot, k.direction),
+            ExpandKernel::Intersect(k) => (k.step_slots[0], k.steps[0].direction),
         }
     }
-    comm
+
+    /// The slot of the destination column this expand binds, if it binds one.
+    pub(crate) fn dst_slot(&self) -> Option<usize> {
+        match self {
+            ExpandKernel::Edge(k) => Some(k.dst_slot),
+            ExpandKernel::Intersect(k) => Some(k.dst_slot),
+            ExpandKernel::Into(_) => None,
+        }
+    }
+
+    /// The slot whose vertex the output rows are homed on.
+    pub(crate) fn home_slot(&self) -> usize {
+        self.dst_slot().unwrap_or(self.route().0)
+    }
+
+    /// The slot of the edge column this expand binds, if it binds one.
+    pub(crate) fn edge_slot(&self) -> Option<usize> {
+        match self {
+            ExpandKernel::Edge(k) | ExpandKernel::Into(k) => k.edge_slot,
+            ExpandKernel::Intersect(_) => None,
+        }
+    }
+
+    /// Run the kernel over `batch`: one entry per produced row in `s.sel`
+    /// (input-row indices, ascending) with the destination / edge values
+    /// beside it. Returns the boundary crossings of a partitioned deployment:
+    /// rows whose destination lives on another partition than their source
+    /// (for an intersection: rows whose step sources span partitions and are
+    /// shipped once to be intersected), served locally where hub replicas
+    /// cover them.
+    pub(crate) fn run<G: GraphView>(
+        &self,
+        graph: &G,
+        batch: &RecordBatch,
+        pm: Option<&PartitionMap>,
+        s: &mut KernelScratch,
+    ) -> CommTally {
+        s.sel.clear();
+        s.dst.clear();
+        s.edge.clear();
+        let mut comm = CommTally::default();
+        for row in 0..batch.rows() {
+            let vertex = |slot: usize| batch.entry(slot, row).as_vertex();
+            let edge_ok = |k: &EdgeKernel<'_>, e: EdgeId| {
+                let bound = k.edge_slot.map(|es| [(es, EntryRef::Edge(e))]);
+                let bound = bound.as_ref().map_or(&[][..], |o| &o[..]);
+                passes(&k.edge_pred, graph, batch, row, bound)
+            };
+            match self {
+                ExpandKernel::Edge(k) => {
+                    let (Some(src), Some((constraint, pred))) = (vertex(k.src_slot), &k.dst) else {
+                        continue;
+                    };
+                    collect_expand_candidates(
+                        graph,
+                        src,
+                        &k.labels,
+                        k.direction,
+                        &mut s.candidates,
+                    );
+                    for &(edge, neighbor) in s.candidates.iter() {
+                        let (d, c) = (k.dst_slot, constraint);
+                        if batch_vertex_matches(graph, batch, row, neighbor, c, pred, d)
+                            && edge_ok(k, edge)
+                        {
+                            charge_crossing(pm, src, neighbor, &mut comm);
+                            s.sel.push(row as u32);
+                            s.dst.push(neighbor);
+                            s.edge.push(edge);
+                        }
+                    }
+                }
+                ExpandKernel::Into(k) => {
+                    let (Some(src), Some(dst)) = (vertex(k.src_slot), vertex(k.dst_slot)) else {
+                        continue;
+                    };
+                    let edge = find_connecting_edge(graph, src, dst, &k.labels, k.direction);
+                    if let Some(e) = edge.filter(|e| edge_ok(k, *e)) {
+                        charge_crossing(pm, src, dst, &mut comm);
+                        s.sel.push(row as u32);
+                        s.edge.push(e);
+                    }
+                }
+                ExpandKernel::Intersect(k) => {
+                    let srcs = k.step_slots.iter().map(|&slot| vertex(slot));
+                    if k.steps.len() > 1 {
+                        let bound = srcs.clone().zip(k.steps);
+                        let bound = bound.filter_map(|(v, step)| Some((v?, step.direction)));
+                        charge_intersect_row(pm, bound, &mut comm);
+                    }
+                    // intersect the sorted CSR neighbour lists step by step;
+                    // an unbound step source (or no step) leaves no candidates
+                    s.cur.clear();
+                    for (i, (src, step)) in srcs.zip(k.steps).enumerate() {
+                        let Some(src) = src else {
+                            s.cur.clear();
+                            break;
+                        };
+                        let (labels, dir) = (&k.step_labels[i], step.direction);
+                        if i == 0 {
+                            gather_sorted_neighbors(graph, src, labels, dir, &mut s.cur);
+                        } else {
+                            gather_sorted_neighbors(graph, src, labels, dir, &mut s.step_buf);
+                            intersect_sorted_into(&s.cur, &s.step_buf, &mut s.merged);
+                            std::mem::swap(&mut s.cur, &mut s.merged);
+                        }
+                        if s.cur.is_empty() {
+                            break;
+                        }
+                    }
+                    let (c, pred, d) = (k.dst_constraint, &k.dst_pred, k.dst_slot);
+                    for &v in s.cur.iter() {
+                        if batch_vertex_matches(graph, batch, row, v, c, pred, d) {
+                            s.sel.push(row as u32);
+                            s.dst.push(v);
+                        }
+                    }
+                }
+            }
+        }
+        comm
+    }
+
+    /// The kernel output in `s` as batches of at most `batch_size` rows: the
+    /// live columns of `src` gathered through the selection vector, with the
+    /// new destination / edge columns installed where they are live.
+    pub(crate) fn emit<'a>(
+        &'a self,
+        src: &'a RecordBatch,
+        s: &'a KernelScratch,
+        live: &'a [bool],
+        batch_size: usize,
+    ) -> impl Iterator<Item = RecordBatch> + 'a {
+        (0..s.sel.len()).step_by(batch_size).map(move |at| {
+            let range = at..(at + batch_size).min(s.sel.len());
+            let mut out = src.gather_live(&s.sel[range.clone()], live);
+            if let Some(slot) = self.dst_slot().filter(|&d| live[d]) {
+                out.set_column(slot, Column::vertices(s.dst[range.clone()].to_vec()));
+            }
+            if let Some(slot) = self.edge_slot().filter(|&e| live[e]) {
+                out.set_column(slot, Column::edges(s.edge[range].to_vec()));
+            }
+            out
+        })
+    }
+}
+
+/// The batched form of [`edge_expand`], [`expand_into`] and
+/// [`expand_intersect`]: compile `op` once, run its kernel batch after batch
+/// with one scratch, gather each selection vector column-wise.
+pub fn expand_batches<G: GraphView>(
+    graph: &G,
+    input: &[RecordBatch],
+    tags: &mut TagMap,
+    op: &gopt_gir::physical::PhysicalOp,
+    pm: Option<&PartitionMap>,
+    batch_size: usize,
+) -> Result<(Vec<RecordBatch>, CommTally), crate::error::ExecError> {
+    let kernel = ExpandKernel::compile(graph, op, tags)?.expect("a selection-vector expand");
+    let live = vec![true; tags.len()];
+    let mut s = KernelScratch::default();
+    let mut out = Vec::new();
+    let mut comm = CommTally::default();
+    for batch in input {
+        comm += kernel.run(graph, batch, pm, &mut s);
+        out.extend(kernel.emit(batch, &s, &live, batch_size));
+    }
+    Ok((out, comm))
 }
 
 /// Batched [`path_expand`]: paths are emitted into a flattened

@@ -42,6 +42,11 @@
 //! the hot filter path. Any shape or column the kernels do not cover falls
 //! back to the row-wise compiled evaluator, which stays the oracle.
 //!
+//! The partitioned backend's [`parallel::ParallelEngine`] runs the same
+//! operators as *fused morsel pipelines*: the plan is cut at its breakers, a
+//! worker carries one morsel through a pipeline's streaming stages into its
+//! sink, and only the tag slots some reader still names are gathered.
+//!
 //! # Query lifecycle
 //!
 //! Every engine executes under a [`context::QueryContext`]: a cancellation
@@ -64,8 +69,10 @@ pub mod error;
 pub mod expand;
 pub(crate) mod kernel;
 pub mod parallel;
+pub(crate) mod pipeline;
 pub mod record;
 pub mod relational;
+pub(crate) mod sink;
 
 pub use backend::{Backend, ExecMode, PartitionedBackend, SingleMachineBackend};
 pub use batch::{

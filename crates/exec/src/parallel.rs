@@ -9,30 +9,29 @@
 //!
 //! # Execution model
 //!
-//! Every plan node's output is an **ordered** sequence of batches whose
-//! concatenated rows are bit-for-bit the rows the sequential [`BatchEngine`]
-//! (and therefore the scalar [`Engine`] oracle) would produce, in the same
-//! order. Parallelism never reorders results:
+//! The plan is cut into *pipelines* at its breakers and a worker carries one
+//! source morsel through a pipeline's whole chain of streaming stages into
+//! its sink, gathering only the tag slots some reader still names — see
+//! the `pipeline` and `sink` modules. Every materialized output is an
+//! **ordered** sequence of batches whose concatenated rows are bit-for-bit
+//! the rows the sequential [`BatchEngine`] (and therefore the scalar
+//! [`Engine`] oracle) would produce, in the same order: sinks fold what the
+//! workers hand in strictly in morsel order, and an output is dropped (its
+//! metered bytes returned to the [`QueryContext`]) as soon as its last
+//! reader has run.
 //!
-//! * **Element-wise operators** (`Scan`, `Select`, `Project`) process each
-//!   morsel independently on a worker and reassemble outputs in morsel order.
-//! * **Expand operators** run a real partition exchange: each *window* of up
-//!   to `EXCHANGE_WINDOW` consecutive morsels is split by the partition
-//!   owning the routing vertex (the expansion source, looked up in the
-//!   graph's shared [`PartitionMap`]), the per-partition sub-batches run the
-//!   shared expansion kernels against their own [`GraphShard`]'s CSR, and a
-//!   deterministic per-window merge restores the oracle row order from the
-//!   kernels' selection vectors. At the expand boundary output rows are
-//!   routed by the *target* vertex's partition — the rows whose target
-//!   partition differs from the partition that produced them are the
-//!   measured shuffle.
-//! * **Pipeline breakers** (`HashGroup`, `OrderLimit`, `Dedup`) evaluate
-//!   their key/aggregate expressions per morsel on the pool (the per-worker
-//!   partial state), then perform a deterministic merge in morsel order: a
-//!   sequential accumulator fold for grouping, a stable k-way merge of
-//!   per-morsel stable sorts for ordering, a sequential seen-set pass for
-//!   deduplication. Each merge reproduces the oracle's first-encounter /
-//!   stable-sort semantics exactly.
+//! With one partition every expand is such a streaming stage. With more,
+//! **expand operators run a real partition exchange** and so break the
+//! pipeline: each *window* of up to `EXCHANGE_WINDOW` consecutive morsels is
+//! split by the partition owning the routing vertex (the expansion source,
+//! looked up in the graph's shared [`PartitionMap`]), the per-partition
+//! sub-batches run the shared expansion kernels against their own
+//! [`GraphShard`]'s CSR, and a deterministic per-window merge restores the
+//! oracle row order from the kernels' selection vectors. At the expand
+//! boundary output rows are routed by the *target* vertex's partition — the
+//! rows whose target partition differs from the partition that produced them
+//! are the measured shuffle. `HashJoin` and `Union` read their materialized
+//! inputs at the coordinator.
 //!
 //! # Measured communication
 //!
@@ -114,23 +113,20 @@
 //! [`GreedyPartitioner`]: gopt_graph::GreedyPartitioner
 //! [`PartitionMap`]: gopt_graph::PartitionMap
 
-use crate::batch::{
-    self, BatchBuilder, BatchRow, Column, CompiledExpr, EntryRef, RecordBatch, DEFAULT_BATCH_SIZE,
-};
+use crate::batch::{self, BatchBuilder, EntryRef, RecordBatch, DEFAULT_BATCH_SIZE};
 use crate::context::{self, QueryContext};
-use crate::engine::{ExecResult, ExecStats};
+use crate::engine::{op_name, ExecResult, ExecStats};
 use crate::error::ExecError;
-use crate::expand::{self, CommTally, EdgeExpandArgs, EdgeExpandCompiled, IntersectScratch};
-use crate::record::{Entry, TagMap};
-use crate::relational::{self, Accumulator};
-use gopt_gir::expr::{AggFunc, Expr, SortDir};
+use crate::expand::{CommTally, ExpandKernel, KernelScratch};
+use crate::pipeline::{self, Live, Pipeline, Role, Stage, Tally, Unit, Worker};
+use crate::record::TagMap;
+use crate::relational;
+use crate::sink::Sink;
 use gopt_gir::pattern::Direction;
-use gopt_gir::physical::{IntersectStep, PhysicalNodeId, PhysicalOp, PhysicalPlan};
-use gopt_gir::types::TypeConstraint;
-use gopt_graph::{GraphView, PartitionMap, PartitionedGraph, PropValue, VertexId};
+use gopt_gir::physical::{PhysicalNodeId, PhysicalOp, PhysicalPlan};
+use gopt_graph::{GraphView, PartitionMap, PartitionedGraph, VertexId};
 use parking_lot::{Condvar, Mutex};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -577,7 +573,7 @@ fn ship_bytes(bytes: u64, rows: u64, moved: u64) -> u64 {
 
 /// Where a node's output rows currently live in the partitioned deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Home {
+pub(crate) enum Home {
     /// Each row is homed on the partition owning the vertex bound at this
     /// tag slot (rows with an unbound slot sit on partition 0).
     Tag(usize),
@@ -585,12 +581,14 @@ enum Home {
     Coordinator,
 }
 
-/// One executed plan node: ordered output batches, the tag map, and the rows'
-/// current home.
+/// One materialized output: ordered batches, the tag map, the slots a
+/// reader still names, the rows' current home and the bytes metered for it.
 struct NodeOut {
     batches: Vec<RecordBatch>,
     tags: TagMap,
+    live: Vec<bool>,
     home: Home,
+    bytes: u64,
 }
 
 /// One window of consecutive morsels split by routing partition for an
@@ -606,14 +604,13 @@ struct WindowSplit<'a> {
     /// Per non-empty partition: (partition, coalesced sub-batch, flat window
     /// row index of each sub-batch row). A single-morsel window whose rows
     /// all route to one partition borrows the input morsel instead of
-    /// gathering a copy — always the case at p=1.
+    /// gathering a copy.
     subs: Vec<(usize, Cow<'a, RecordBatch>, Vec<u32>)>,
 }
 
 impl WindowSplit<'_> {
     /// Extra memory this split holds beyond the input morsels: the gathered
-    /// (owned) sub-batches. Borrowed subs alias the input and cost nothing —
-    /// at p=1 every sub borrows, so this is always 0 there.
+    /// (owned) sub-batches. Borrowed subs alias the input and cost nothing.
     fn gathered_bytes(&self) -> u64 {
         self.subs
             .iter()
@@ -635,15 +632,6 @@ struct RouteOut<'a> {
     route_hits: u64,
 }
 
-/// Output of one expansion kernel over one sub-batch.
-struct KernelOut {
-    /// Sub-batch row index per output row (ascending).
-    sel: Vec<u32>,
-    dst_vals: Vec<VertexId>,
-    edge_vals: Vec<gopt_graph::EdgeId>,
-    comm: CommTally,
-}
-
 /// Result of one expand unit: the merged output batches of one window (in
 /// oracle row order) and the crossings its kernels measured at the expand
 /// boundary (shipped rows and replica-served locality hits).
@@ -655,6 +643,17 @@ struct Expanded {
 /// One window's exchange outcome: its expanded output plus the rows, bytes
 /// and replica-served hits of its route stage.
 type Routed = (Expanded, u64, u64, u64);
+
+/// Set when a crew member unwinds, so the others stop claiming morsels.
+struct AbortOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
 
 /// The morsel-driven parallel interpreter over a [`PartitionedGraph`].
 ///
@@ -764,8 +763,13 @@ impl<'g> ParallelEngine<'g> {
     }
 
     /// The sharded graph being queried.
-    pub fn graph(&self) -> &PartitionedGraph {
+    pub fn graph(&self) -> &'g PartitionedGraph {
         self.graph
+    }
+
+    /// Maximum rows per batch.
+    pub(crate) fn batch_size(&self) -> usize {
+        self.batch_size
     }
 
     /// Execute a physical plan under a fresh [`QueryContext`] carrying only
@@ -778,8 +782,8 @@ impl<'g> ParallelEngine<'g> {
     }
 
     /// Execute a physical plan under `ctx`: cancellation, deadline, budget
-    /// and record limit are checked at every operator boundary and at every
-    /// morsel a worker picks up.
+    /// and record limit are checked at every operator boundary, at every
+    /// morsel a worker picks up and at every batch a stage hands on.
     pub fn execute_with_ctx(
         &self,
         plan: &PhysicalPlan,
@@ -811,45 +815,51 @@ impl<'g> ParallelEngine<'g> {
             replicated_bytes: self.graph.replicated_bytes(),
             ..Default::default()
         };
-        let order = plan.topo_order();
+        let live = pipeline::liveness(plan);
+        let units = pipeline::cut(plan, &live, self.graph.partitions() > 1);
+        // units still to read each materialized output
+        let mut readers = vec![0usize; plan.len()];
+        for i in units.iter().flat_map(|u| u.reads(plan)) {
+            readers[i.0] += 1;
+        }
         let mut outputs: Vec<Option<NodeOut>> = Vec::with_capacity(plan.len());
         outputs.resize_with(plan.len(), || None);
-        for id in &order {
-            ctx.check().map_err(ExecError::LimitExceeded)?;
-            let input_ids = plan.inputs(*id).to_vec();
-            let name = crate::engine::op_name(plan.op(*id));
-            // unwind boundary around the whole operator: a `panic` fail-point
-            // action on the driving thread (operator, exchange or merge
-            // points) is confined to this query, like a worker panic
+        for unit in &units {
+            // every plan node passes its checkpoint and the operator fail
+            // point once, in topological order, before the unit that fuses
+            // it runs. The unwind boundaries confine a `panic` fail-point
+            // action (operator, exchange or merge points on the driving
+            // thread) to this query, like a worker panic.
+            for id in unit.nodes() {
+                ctx.check().map_err(ExecError::LimitExceeded)?;
+                let name = op_name(plan.op(id));
+                std::panic::catch_unwind(|| failpoint::check(context::FP_OPERATOR))
+                    .map_err(|payload| context::map_panic(payload, name))?
+                    .map_err(context::injected)?;
+            }
             let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                failpoint::check(context::FP_OPERATOR).map_err(context::injected)?;
-                self.execute_op(pool, ctx, plan.op(*id), &input_ids, &outputs, &mut stats)
+                self.run_unit(pool, ctx, plan, unit, &live, &outputs, &mut stats)
             }))
-            .unwrap_or_else(|payload| Err(context::map_panic(payload, name)))?;
-            let produced = batch::total_rows(&out.batches) as u64;
-            stats.intermediate_records += produced;
-            stats.peak_records = stats.peak_records.max(produced);
-            ctx.add_records(produced)
-                .map_err(ExecError::LimitExceeded)?;
-            let bytes: u64 = out.batches.iter().map(RecordBatch::approx_bytes).sum();
-            ctx.charge_bytes(bytes).map_err(ExecError::LimitExceeded)?;
-            outputs[id.0] = Some(out);
+            .unwrap_or_else(|payload| {
+                Err(context::map_panic(payload, op_name(plan.op(unit.out))))
+            })?;
+            outputs[unit.out.0] = Some(out);
+            // free every input this unit was the last reader of
+            for i in unit.reads(plan) {
+                readers[i.0] -= 1;
+                if readers[i.0] == 0 {
+                    if let Some(done) = outputs[i.0].take() {
+                        ctx.release_bytes(done.bytes);
+                    }
+                }
+            }
         }
         let NodeOut { batches, tags, .. } = outputs[plan.root().0]
             .take()
-            .expect("root was executed last");
-        let mut records = Vec::with_capacity(batch::total_rows(&batches));
-        for b in &batches {
-            records.extend(b.to_records());
-        }
+            .expect("the root's unit ran last");
         stats.elapsed_micros = start.elapsed().as_micros();
-        Ok(ExecResult {
-            records,
-            tags,
-            stats,
-        })
+        Ok(ExecResult::new(batches, tags, stats))
     }
-
     #[inline]
     fn part(&self, v: VertexId) -> usize {
         self.graph.partition_of(v)
@@ -857,7 +867,7 @@ impl<'g> ParallelEngine<'g> {
 
     /// The graph's placement oracle, in the form the expansion kernels take.
     #[inline]
-    fn pmap(&self) -> Option<&PartitionMap> {
+    pub(crate) fn pmap(&self) -> Option<&PartitionMap> {
         Some(self.graph.partition_map())
     }
 
@@ -877,7 +887,7 @@ impl<'g> ParallelEngine<'g> {
     /// Measured (rows, bytes) shipped when gathering a node's output at the
     /// coordinator (pipeline breakers, joins, unions). Bytes are each moved
     /// row's share of its batch's `approx_bytes`.
-    fn gather_comm(&self, batches: &[RecordBatch], home: Home) -> (u64, u64) {
+    pub(crate) fn gather_comm(&self, batches: &[RecordBatch], home: Home) -> (u64, u64) {
         if self.graph.partitions() <= 1 || home == Home::Coordinator {
             return (0, 0);
         }
@@ -911,6 +921,7 @@ impl<'g> ParallelEngine<'g> {
     fn split_window<'a>(
         &self,
         window: &'a [RecordBatch],
+        live: &[bool],
         route_slot: usize,
         home: Home,
         aligned: bool,
@@ -937,7 +948,7 @@ impl<'g> ParallelEngine<'g> {
                 };
                 let dest = pm.partition_of(v);
                 owner[base + row] = dest as i32;
-                if p > 1 && !aligned && self.row_home(batch, row, home) != dest {
+                if !aligned && self.row_home(batch, row, home) != dest {
                     if hubs_serve && pm.is_hub(v) {
                         route_hits += 1;
                     } else {
@@ -951,7 +962,6 @@ impl<'g> ParallelEngine<'g> {
             base += batch.rows();
         }
         starts.push(base);
-        let width = window.first().map(RecordBatch::width).unwrap_or(0);
         let subs = sels
             .into_iter()
             .enumerate()
@@ -963,12 +973,12 @@ impl<'g> ParallelEngine<'g> {
                     if sel.len() == batch.rows() {
                         Cow::Borrowed(batch)
                     } else {
-                        Cow::Owned(batch.gather(&sel, batch.width()))
+                        Cow::Owned(batch.gather_live(&sel, live))
                     }
                 } else {
                     // coalesce the window's rows for this destination into
                     // one batch, in flat (= oracle) order
-                    let mut builder = BatchBuilder::new(width, usize::MAX);
+                    let mut builder = BatchBuilder::with_live(live, usize::MAX);
                     let mut mi = 0usize;
                     for &flat in &sel {
                         let f = flat as usize;
@@ -1007,9 +1017,8 @@ impl<'g> ParallelEngine<'g> {
         pool: &WorkerPool,
         ctx: &QueryContext,
         op: &'static str,
-        batches: &'a [RecordBatch],
+        input: &'a NodeOut,
         route_slot: usize,
-        home: Home,
         route_dir: Direction,
         stats: &mut ExecStats,
         expand_one: F,
@@ -1017,20 +1026,14 @@ impl<'g> ParallelEngine<'g> {
     where
         F: Fn(&WindowSplit<'a>) -> Expanded + Sync,
     {
+        let (batches, home) = (&input.batches, input.home);
         if batches.is_empty() {
             // preserve the per-operator exchange fail point even when there
             // is nothing to route
             failpoint::check(context::FP_EXCHANGE).map_err(context::injected)?;
             return Ok(Vec::new());
         }
-        // with one partition nothing is gathered or shipped — keep the
-        // borrow-only single-morsel windows there
-        let window_len = if self.graph.partitions() > 1 {
-            EXCHANGE_WINDOW
-        } else {
-            1
-        };
-        let windows: Vec<&'a [RecordBatch]> = batches.chunks(window_len).collect();
+        let windows: Vec<&'a [RecordBatch]> = batches.chunks(EXCHANGE_WINDOW).collect();
         let n = windows.len();
         let aligned = home == Home::Tag(route_slot);
         // One route unit per window: context checkpoint, exchange fail
@@ -1045,7 +1048,14 @@ impl<'g> ParallelEngine<'g> {
                     msg: f.msg,
                 });
             }
-            self.split_window(windows[wi], route_slot, home, aligned, route_dir)
+            self.split_window(
+                windows[wi],
+                &input.live,
+                route_slot,
+                home,
+                aligned,
+                route_dir,
+            )
         };
         let (per_wi, peak) = match self.exchange_mode {
             ExchangeMode::Barrier => {
@@ -1243,14 +1253,14 @@ impl<'g> ParallelEngine<'g> {
     /// Deterministic per-window merge after a partition-split expansion:
     /// original flat input-row order (= oracle (morsel, row) order), with
     /// each row's outputs taken (in kernel emission order) from the
-    /// sub-batch of the partition owning the row. `push(b, k, j)` appends
-    /// output `j` of kernel `k` from sub-batch rows.
-    #[allow(clippy::too_many_arguments)]
+    /// sub-batch of the partition owning the row. `sels[si]` is the kernel's
+    /// selection vector over sub-batch `si`; `push(b, si, j)` appends output
+    /// `j` of that kernel. Only `live` slots are copied.
     fn merge_window(
         &self,
         split: &WindowSplit<'_>,
-        kernel_of_sub: &[&KernelOut],
-        width: usize,
+        sels: &[&[u32]],
+        live: &[bool],
         push: impl Fn(&mut BatchBuilder, usize, usize),
     ) -> Vec<RecordBatch> {
         let p = self.graph.partitions();
@@ -1258,7 +1268,7 @@ impl<'g> ParallelEngine<'g> {
         for (si, (part, _, _)) in split.subs.iter().enumerate() {
             sub_of_part[*part] = si;
         }
-        let mut builder = BatchBuilder::new(width, self.batch_size);
+        let mut builder = BatchBuilder::with_live(live, self.batch_size);
         let mut cursors = vec![0usize; split.subs.len()];
         for row in 0..split.rows {
             let part = split.owner[row];
@@ -1267,9 +1277,9 @@ impl<'g> ParallelEngine<'g> {
             }
             let si = sub_of_part[part as usize];
             let origs = &split.subs[si].2;
-            let k = kernel_of_sub[si];
+            let sel = sels[si];
             let cur = &mut cursors[si];
-            while *cur < k.sel.len() && origs[k.sel[*cur] as usize] as usize == row {
+            while *cur < sel.len() && origs[sel[*cur] as usize] as usize == row {
                 push(&mut builder, si, *cur);
                 *cur += 1;
             }
@@ -1277,1210 +1287,355 @@ impl<'g> ParallelEngine<'g> {
         builder.finish()
     }
 
-    fn take_input<'b>(
-        op: &'static str,
-        inputs: &[PhysicalNodeId],
-        outputs: &'b [Option<NodeOut>],
-        n: usize,
-    ) -> Result<Vec<&'b NodeOut>, ExecError> {
-        if inputs.len() != n {
-            return Err(ExecError::ArityMismatch {
-                op,
-                expected: n,
-                actual: inputs.len(),
-            });
+    /// The live slots of an output with tags `tags`: what its readers name,
+    /// plus — when expands exchange rows — the slot the rows are homed by,
+    /// which routing and gather accounting read.
+    fn out_mask(&self, live: &Live, tags: &TagMap, home: Home) -> Vec<bool> {
+        let mut mask = pipeline::mask(live, tags);
+        if let (Home::Tag(slot), true) = (home, self.graph.partitions() > 1) {
+            mask[slot] = true;
         }
-        Ok(inputs
-            .iter()
-            .map(|i| {
-                outputs[i.0]
-                    .as_ref()
-                    .expect("inputs executed before consumers")
-            })
-            .collect())
+        mask
     }
 
-    fn execute_op(
+    /// Materialize the output of `unit.out`: run its pipeline into its sink,
+    /// or apply a transform to its materialized inputs.
+    #[allow(clippy::too_many_arguments)]
+    fn run_unit(
         &self,
         pool: &WorkerPool,
         ctx: &QueryContext,
-        op: &PhysicalOp,
-        inputs: &[PhysicalNodeId],
+        plan: &PhysicalPlan,
+        unit: &Unit,
+        live: &[Live],
         outputs: &[Option<NodeOut>],
         stats: &mut ExecStats,
     ) -> Result<NodeOut, ExecError> {
-        match op {
-            PhysicalOp::Scan {
-                alias,
-                constraint,
-                predicate,
-            } => self.run_scan(pool, ctx, alias, constraint, predicate),
-            PhysicalOp::EdgeExpand {
-                src,
-                edge_alias,
-                edge_constraint,
-                direction,
-                dst_alias,
-                dst_constraint,
-                dst_predicate,
-                edge_predicate,
-            } => {
-                let input = Self::take_input("EdgeExpand", inputs, outputs, 1)?[0];
-                let args = EdgeExpandArgs {
-                    src,
-                    edge_alias: edge_alias.as_deref(),
-                    edge_constraint,
-                    direction: *direction,
-                    dst_alias,
-                    dst_constraint,
-                    dst_predicate,
-                    edge_predicate,
-                };
-                self.run_edge_expand(pool, ctx, input, &args, stats)
-            }
-            PhysicalOp::ExpandInto {
-                src,
-                dst,
-                edge_constraint,
-                direction,
-                edge_alias,
-                edge_predicate,
-            } => {
-                let input = Self::take_input("ExpandInto", inputs, outputs, 1)?[0];
-                self.run_expand_into(
-                    pool,
-                    ctx,
-                    input,
-                    src,
-                    dst,
-                    edge_constraint,
-                    *direction,
-                    edge_alias.as_deref(),
-                    edge_predicate,
-                    stats,
-                )
-            }
-            PhysicalOp::ExpandIntersect {
-                steps,
-                dst_alias,
-                dst_constraint,
-                dst_predicate,
-            } => {
-                let input = Self::take_input("ExpandIntersect", inputs, outputs, 1)?[0];
-                self.run_expand_intersect(
-                    pool,
-                    ctx,
-                    input,
-                    steps,
-                    dst_alias,
-                    dst_constraint,
-                    dst_predicate,
-                    stats,
-                )
-            }
-            PhysicalOp::PathExpand {
-                src,
-                dst_alias,
-                edge_constraint,
-                direction,
-                min_hops,
-                max_hops,
-                semantics,
-                path_alias,
-            } => {
-                let input = Self::take_input("PathExpand", inputs, outputs, 1)?[0];
-                self.run_path_expand(
-                    pool,
-                    ctx,
-                    input,
-                    src,
-                    dst_alias,
-                    edge_constraint,
-                    *direction,
-                    *min_hops,
-                    *max_hops,
-                    *semantics,
-                    path_alias.as_deref(),
-                    stats,
-                )
-            }
-            PhysicalOp::Select { predicate } => {
-                let input = Self::take_input("Select", inputs, outputs, 1)?[0];
-                let tags = input.tags.clone();
-                let outs: Vec<Vec<RecordBatch>> =
-                    par_map_op(pool, input.batches.len(), "Select", |mi| {
-                        context::worker_checkpoint(ctx);
-                        relational::select_batches(
-                            self.graph,
-                            std::slice::from_ref(&input.batches[mi]),
-                            &tags,
-                            predicate,
-                            self.batch_size,
-                        )
-                    })?;
-                Ok(NodeOut {
-                    batches: outs.into_iter().flatten().collect(),
-                    tags,
-                    home: input.home,
-                })
-            }
-            PhysicalOp::Project { items } => self.run_project(
-                pool,
-                ctx,
-                Self::take_input("Project", inputs, outputs, 1)?[0],
-                items,
-                stats,
-            ),
-            PhysicalOp::PropertyFetch { tag, props } => {
-                let input = Self::take_input("PropertyFetch", inputs, outputs, 1)?[0];
-                let mut tags = input.tags.clone();
-                let batches = relational::property_fetch_batches(
-                    self.graph,
-                    &input.batches,
-                    &mut tags,
-                    tag,
-                    props,
-                )?;
-                Ok(NodeOut {
-                    batches,
-                    tags,
-                    home: input.home,
-                })
-            }
-            PhysicalOp::HashGroup { keys, aggs } => self.run_hash_group(
-                pool,
-                ctx,
-                Self::take_input("HashGroup", inputs, outputs, 1)?[0],
-                keys,
-                aggs,
-                stats,
-            ),
-            PhysicalOp::OrderLimit { keys, limit } => self.run_order_limit(
-                pool,
-                ctx,
-                Self::take_input("OrderLimit", inputs, outputs, 1)?[0],
-                keys,
-                *limit,
-                stats,
-            ),
-            PhysicalOp::Limit { count } => {
-                let input = Self::take_input("Limit", inputs, outputs, 1)?[0];
-                Ok(NodeOut {
-                    batches: relational::limit_batches(&input.batches, *count),
-                    tags: input.tags.clone(),
-                    home: input.home,
-                })
-            }
-            PhysicalOp::Dedup { keys } => self.run_dedup(
-                pool,
-                ctx,
-                Self::take_input("Dedup", inputs, outputs, 1)?[0],
-                keys,
-                stats,
-            ),
-            PhysicalOp::HashJoin { keys, kind } => {
-                let input = Self::take_input("HashJoin", inputs, outputs, 2)?;
-                let (l, r) = (input[0], input[1]);
-                self.charge_gather(stats, &l.batches, l.home);
-                self.charge_gather(stats, &r.batches, r.home);
-                let (batches, tags, _) = relational::hash_join_batches(
-                    self.graph,
-                    &l.batches,
-                    &l.tags,
-                    &r.batches,
-                    &r.tags,
-                    keys,
-                    *kind,
-                    None,
-                    self.batch_size,
-                )?;
-                Ok(NodeOut {
-                    batches,
-                    tags,
-                    home: Home::Coordinator,
-                })
-            }
-            PhysicalOp::Union => {
-                if inputs.is_empty() {
-                    return Err(ExecError::ArityMismatch {
-                        op: "Union",
-                        expected: 2,
-                        actual: 0,
-                    });
-                }
-                let gathered: Vec<&NodeOut> = inputs
-                    .iter()
-                    .map(|i| outputs[i.0].as_ref().expect("inputs executed"))
-                    .collect();
-                for n in &gathered {
-                    self.charge_gather(stats, &n.batches, n.home);
-                }
-                let pairs: Vec<(&[RecordBatch], &TagMap)> = gathered
-                    .iter()
-                    .map(|n| (n.batches.as_slice(), &n.tags))
-                    .collect();
-                let (batches, tags) = relational::union_batches(&pairs);
-                Ok(NodeOut {
-                    batches,
-                    tags,
-                    home: Home::Coordinator,
-                })
-            }
-        }
-    }
-
-    fn run_scan(
-        &self,
-        pool: &WorkerPool,
-        ctx: &QueryContext,
-        alias: &str,
-        constraint: &TypeConstraint,
-        predicate: &Option<Expr>,
-    ) -> Result<NodeOut, ExecError> {
-        let mut tags = TagMap::new();
-        let slot = tags.slot_or_insert(alias);
-        let width = tags.len();
-        let labels =
-            constraint.materialize(&self.graph.schema().vertex_label_ids().collect::<Vec<_>>());
-        let compiled = predicate
-            .as_ref()
-            .map(|p| CompiledExpr::compile(p, &tags, self.graph));
-        let chunk = self.batch_size;
-        let mut units: Vec<&[VertexId]> = Vec::new();
-        for l in &labels {
-            for c in self.graph.vertices_with_label(*l).chunks(chunk) {
-                units.push(c);
-            }
-        }
-        let probe = RecordBatch::new(width);
-        let kept: Vec<Vec<VertexId>> = par_map_op(pool, units.len(), "Scan", |u| {
-            context::worker_checkpoint(ctx);
-            units[u]
+        let op = plan.op(unit.out);
+        let live_out = &live[unit.out.0];
+        let exchange = self.graph.partitions() > 1;
+        let mut out = if pipeline::role(op, live_out, exchange) != Role::Transform {
+            self.run_pipeline(pool, ctx, plan, unit, live, outputs, stats)?
+        } else {
+            let inputs: Vec<&NodeOut> = plan
+                .inputs(unit.out)
                 .iter()
-                .copied()
-                .filter(|&v| {
-                    if !constraint.contains(self.graph.vertex_label(v)) {
-                        return false;
-                    }
-                    match &compiled {
-                        None => true,
-                        Some(p) => {
-                            let overrides = [(slot, EntryRef::Vertex(v))];
-                            p.eval_predicate(&BatchRow {
-                                graph: self.graph,
-                                batch: &probe,
-                                row: 0,
-                                overrides: &overrides,
-                            })
-                        }
-                    }
+                .map(|i| {
+                    outputs[i.0]
+                        .as_ref()
+                        .expect("materialized before its reader")
                 })
-                .collect()
-        })?;
-        // reassemble in (label, chunk) order — the oracle's scan order — and
-        // cut into morsels
-        let mut batches = Vec::new();
-        let mut cur: Vec<VertexId> = Vec::new();
-        let flush = |ids: Vec<VertexId>, batches: &mut Vec<RecordBatch>| {
-            let rows = ids.len();
-            let mut b = RecordBatch::new(0);
-            b.set_column(slot, Column::vertices(ids));
-            if b.width() < width {
-                b.set_column(width - 1, Column::nulls(rows));
-            }
-            batches.push(b);
-        };
-        for ks in kept {
-            for v in ks {
-                cur.push(v);
-                if cur.len() == self.batch_size {
-                    flush(std::mem::take(&mut cur), &mut batches);
-                }
-            }
-        }
-        if !cur.is_empty() {
-            flush(cur, &mut batches);
-        }
-        Ok(NodeOut {
-            batches,
-            tags,
-            home: Home::Tag(slot),
-        })
-    }
-
-    fn run_edge_expand(
-        &self,
-        pool: &WorkerPool,
-        ctx: &QueryContext,
-        input: &NodeOut,
-        args: &EdgeExpandArgs<'_>,
-        stats: &mut ExecStats,
-    ) -> Result<NodeOut, ExecError> {
-        let mut tags = input.tags.clone();
-        let compiled = EdgeExpandCompiled::resolve(self.graph, &mut tags, args)?;
-        let width = tags.len();
-        let batches = self.exchange_expand(
-            pool,
-            ctx,
-            "EdgeExpand",
-            &input.batches,
-            compiled.src_slot,
-            input.home,
-            args.direction,
-            stats,
-            |split| {
-                let mut kouts: Vec<KernelOut> = Vec::with_capacity(split.subs.len());
-                for (_, sub, _) in &split.subs {
-                    context::worker_checkpoint(ctx);
-                    let mut sel = Vec::new();
-                    let mut dst_vals = Vec::new();
-                    let mut edge_vals = Vec::new();
-                    let mut candidates = Vec::new();
-                    let comm = expand::edge_expand_kernel(
-                        self.graph,
-                        sub,
-                        &compiled,
-                        self.pmap(),
-                        &mut candidates,
-                        &mut sel,
-                        &mut dst_vals,
-                        &mut edge_vals,
-                    );
-                    kouts.push(KernelOut {
-                        sel,
-                        dst_vals,
-                        edge_vals,
-                        comm,
-                    });
-                }
-                let mut comm = CommTally::default();
-                for k in &kouts {
-                    comm += k.comm;
-                }
-                // fast path: every routed row of this morsel lives on one
-                // shard, so kernel emission order IS the oracle order —
-                // gather columns instead of copying row by row
-                let batches = if let [(_, sub, _)] = split.subs.as_slice() {
-                    let k = &kouts[0];
-                    let mut out = Vec::new();
-                    expand::flush_selection(
-                        sub,
-                        &k.sel,
-                        width,
-                        self.batch_size,
-                        Some((compiled.dst_slot, &k.dst_vals)),
-                        compiled.edge_slot.map(|es| (es, k.edge_vals.as_slice())),
-                        &mut out,
-                    );
-                    out
-                } else {
-                    let ks: Vec<&KernelOut> = kouts.iter().collect();
-                    self.merge_window(split, &ks, width, |builder, si, j| {
-                        let k = ks[si];
-                        let sub = &split.subs[si].1;
-                        let mut overrides = [
-                            (compiled.dst_slot, EntryRef::Vertex(k.dst_vals[j])),
-                            (usize::MAX, EntryRef::Null),
-                        ];
-                        let n = match compiled.edge_slot {
-                            Some(es) => {
-                                overrides[1] = (es, EntryRef::Edge(k.edge_vals[j]));
-                                2
-                            }
-                            None => 1,
-                        };
-                        builder.push_row_from(sub, k.sel[j] as usize, &overrides[..n]);
-                    })
-                };
-                Expanded { batches, comm }
-            },
-        )?;
-        Ok(NodeOut {
-            batches,
-            tags,
-            home: Home::Tag(compiled.dst_slot),
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_expand_into(
-        &self,
-        pool: &WorkerPool,
-        ctx: &QueryContext,
-        input: &NodeOut,
-        src: &str,
-        dst: &str,
-        edge_constraint: &TypeConstraint,
-        direction: gopt_gir::pattern::Direction,
-        edge_alias: Option<&str>,
-        edge_predicate: &Option<Expr>,
-        stats: &mut ExecStats,
-    ) -> Result<NodeOut, ExecError> {
-        let mut tags = input.tags.clone();
-        let src_slot = tags
-            .slot(src)
-            .ok_or_else(|| ExecError::UnboundTag(src.to_string()))?;
-        let dst_slot = tags
-            .slot(dst)
-            .ok_or_else(|| ExecError::UnboundTag(dst.to_string()))?;
-        let edge_slot = edge_alias.map(|a| tags.slot_or_insert(a));
-        let width = tags.len();
-        let labels = expand::edge_labels(self.graph, edge_constraint);
-        let edge_pred = edge_predicate
-            .as_ref()
-            .map(|p| CompiledExpr::compile(p, &tags, self.graph));
-        let batches = self.exchange_expand(
-            pool,
-            ctx,
-            "ExpandInto",
-            &input.batches,
-            src_slot,
-            input.home,
-            direction,
-            stats,
-            |split| {
-                let mut kouts: Vec<KernelOut> = Vec::with_capacity(split.subs.len());
-                for (_, sub, _) in &split.subs {
-                    context::worker_checkpoint(ctx);
-                    let mut sel = Vec::new();
-                    let mut edge_vals = Vec::new();
-                    let comm = expand::expand_into_kernel(
-                        self.graph,
-                        sub,
-                        src_slot,
-                        dst_slot,
-                        edge_slot,
-                        &labels,
-                        direction,
-                        edge_pred.as_ref(),
-                        self.pmap(),
-                        &mut sel,
-                        &mut edge_vals,
-                    );
-                    kouts.push(KernelOut {
-                        sel,
-                        dst_vals: Vec::new(),
-                        edge_vals,
-                        comm,
-                    });
-                }
-                let mut comm = CommTally::default();
-                for k in &kouts {
-                    comm += k.comm;
-                }
-                let batches = if let [(_, sub, _)] = split.subs.as_slice() {
-                    let k = &kouts[0];
-                    let mut out = Vec::new();
-                    expand::flush_selection(
-                        sub,
-                        &k.sel,
-                        width,
-                        self.batch_size,
-                        None,
-                        edge_slot.map(|es| (es, k.edge_vals.as_slice())),
-                        &mut out,
-                    );
-                    out
-                } else {
-                    let ks: Vec<&KernelOut> = kouts.iter().collect();
-                    self.merge_window(split, &ks, width, |builder, si, j| {
-                        let k = ks[si];
-                        let sub = &split.subs[si].1;
-                        match edge_slot {
-                            Some(es) => builder.push_row_from(
-                                sub,
-                                k.sel[j] as usize,
-                                &[(es, EntryRef::Edge(k.edge_vals[j]))],
-                            ),
-                            None => builder.push_row_from(sub, k.sel[j] as usize, &[]),
-                        }
-                    })
-                };
-                Expanded { batches, comm }
-            },
-        )?;
-        Ok(NodeOut {
-            batches,
-            tags,
-            home: Home::Tag(src_slot),
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_expand_intersect(
-        &self,
-        pool: &WorkerPool,
-        ctx: &QueryContext,
-        input: &NodeOut,
-        steps: &[IntersectStep],
-        dst_alias: &str,
-        dst_constraint: &TypeConstraint,
-        dst_predicate: &Option<Expr>,
-        stats: &mut ExecStats,
-    ) -> Result<NodeOut, ExecError> {
-        let mut tags = input.tags.clone();
-        let dst_slot = tags.slot_or_insert(dst_alias);
-        let mut step_slots = Vec::with_capacity(steps.len());
-        for s in steps {
-            step_slots.push(
-                tags.slot(&s.src)
-                    .ok_or_else(|| ExecError::UnboundTag(s.src.clone()))?,
-            );
-        }
-        let width = tags.len();
-        let step_labels: Vec<Vec<gopt_graph::LabelId>> = steps
-            .iter()
-            .map(|s| expand::edge_labels(self.graph, &s.edge_constraint))
-            .collect();
-        let dst_pred = dst_predicate
-            .as_ref()
-            .map(|p| CompiledExpr::compile(p, &tags, self.graph));
-        // rows are shipped to (and intersected on) the first step source's
-        // partition
-        let batches = self.exchange_expand(
-            pool,
-            ctx,
-            "ExpandIntersect",
-            &input.batches,
-            step_slots[0],
-            input.home,
-            steps[0].direction,
-            stats,
-            |split| {
-                let pm = self.graph.partition_map();
-                let mut kouts: Vec<KernelOut> = Vec::with_capacity(split.subs.len());
-                for (part, sub, _) in &split.subs {
-                    context::worker_checkpoint(ctx);
-                    let mut sel = Vec::new();
-                    let mut dst_vals = Vec::new();
-                    let mut scratch = IntersectScratch::default();
-                    let mut comm = expand::expand_intersect_kernel(
-                        self.graph,
-                        sub,
-                        steps,
-                        &step_slots,
-                        &step_labels,
-                        dst_slot,
-                        dst_constraint,
-                        dst_pred.as_ref(),
-                        self.pmap(),
-                        &mut scratch,
-                        &mut sel,
-                        &mut dst_vals,
-                    );
-                    // expand-boundary shuffle: outputs routed to the target
-                    // vertex's partition — unless the target is a replicated
-                    // hub, whose adjacency the local shard already holds
-                    if pm.partitions() > 1 {
-                        for &d in &dst_vals {
-                            if pm.partition_of(d) != *part {
-                                if pm.is_hub(d) {
-                                    comm.local_hits += 1;
-                                } else {
-                                    comm.shipped += 1;
-                                }
-                            }
-                        }
-                    }
-                    kouts.push(KernelOut {
-                        sel,
-                        dst_vals,
-                        edge_vals: Vec::new(),
-                        comm,
-                    });
-                }
-                let mut comm = CommTally::default();
-                for k in &kouts {
-                    comm += k.comm;
-                }
-                let batches = if let [(_, sub, _)] = split.subs.as_slice() {
-                    let k = &kouts[0];
-                    let mut out = Vec::new();
-                    expand::flush_selection(
-                        sub,
-                        &k.sel,
-                        width,
-                        self.batch_size,
-                        Some((dst_slot, &k.dst_vals)),
-                        None,
-                        &mut out,
-                    );
-                    out
-                } else {
-                    let ks: Vec<&KernelOut> = kouts.iter().collect();
-                    self.merge_window(split, &ks, width, |builder, si, j| {
-                        let k = ks[si];
-                        let sub = &split.subs[si].1;
-                        builder.push_row_from(
-                            sub,
-                            k.sel[j] as usize,
-                            &[(dst_slot, EntryRef::Vertex(k.dst_vals[j]))],
-                        );
-                    })
-                };
-                Expanded { batches, comm }
-            },
-        )?;
-        Ok(NodeOut {
-            batches,
-            tags,
-            home: Home::Tag(dst_slot),
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_path_expand(
-        &self,
-        pool: &WorkerPool,
-        ctx: &QueryContext,
-        input: &NodeOut,
-        src: &str,
-        dst_alias: &str,
-        edge_constraint: &TypeConstraint,
-        direction: gopt_gir::pattern::Direction,
-        min_hops: u32,
-        max_hops: u32,
-        semantics: gopt_gir::pattern::PathSemantics,
-        path_alias: Option<&str>,
-        stats: &mut ExecStats,
-    ) -> Result<NodeOut, ExecError> {
-        let mut tags = input.tags.clone();
-        let src_slot = tags
-            .slot(src)
-            .ok_or_else(|| ExecError::UnboundTag(src.to_string()))?;
-        let dst_slot = tags.slot_or_insert(dst_alias);
-        let path_slot = path_alias.map(|a| tags.slot_or_insert(a));
-        let width = tags.len();
-        let labels = expand::edge_labels(self.graph, edge_constraint);
-        let batches = self.exchange_expand(
-            pool,
-            ctx,
-            "PathExpand",
-            &input.batches,
-            src_slot,
-            input.home,
-            direction,
-            stats,
-            |split| {
-                // per sub-batch: fully materialised output rows (one
-                // oversized batch) plus the producing sub-row per output row;
-                // communication follows the traversal model (every
-                // partition-crossing hop counts)
-                let mut kouts: Vec<(Vec<RecordBatch>, Vec<u32>, CommTally)> =
-                    Vec::with_capacity(split.subs.len());
-                for (_, sub, _) in &split.subs {
-                    context::worker_checkpoint(ctx);
-                    let mut builder = BatchBuilder::new(width, usize::MAX);
-                    let mut origs: Vec<u32> = Vec::new();
-                    let mut comm = CommTally::default();
-                    for row in 0..sub.rows() {
-                        let Some(start) = sub.entry(src_slot, row).as_vertex() else {
-                            continue;
-                        };
-                        expand::expand_paths(
-                            self.graph,
-                            start,
-                            &labels,
-                            direction,
-                            min_hops,
-                            max_hops,
-                            semantics,
-                            self.pmap(),
-                            &mut comm,
-                            |path| {
-                                let dst = *path.last().expect("non-empty");
-                                let mut overrides = [
-                                    (dst_slot, EntryRef::Vertex(dst)),
-                                    (usize::MAX, EntryRef::Null),
-                                ];
-                                let used = match path_slot {
-                                    Some(ps) => {
-                                        overrides[1] = (ps, EntryRef::Path(path));
-                                        2
-                                    }
-                                    None => 1,
-                                };
-                                builder.push_row_from(sub, row, &overrides[..used]);
-                                origs.push(row as u32);
-                            },
-                        );
-                    }
-                    kouts.push((builder.finish(), origs, comm));
-                }
-                let mut comm = CommTally::default();
-                for (_, _, c) in &kouts {
-                    comm += *c;
-                }
-                // merge by the ORIGIN row of each output: rows were
-                // materialised by the kernels, so the merge copies from the
-                // per-sub out batch
-                let p = self.graph.partitions();
-                let mut sub_of_part = vec![usize::MAX; p];
-                for (si, (part, _, _)) in split.subs.iter().enumerate() {
-                    sub_of_part[*part] = si;
-                }
-                let mut builder = BatchBuilder::new(width, self.batch_size);
-                let mut cursors = vec![0usize; split.subs.len()];
-                for row in 0..split.rows {
-                    let part = split.owner[row];
-                    if part < 0 {
-                        continue;
-                    }
-                    let si = sub_of_part[part as usize];
-                    let origs_of_sub = &split.subs[si].2;
-                    let (out_batches, out_origs, _) = &kouts[si];
-                    let cur = &mut cursors[si];
-                    while *cur < out_origs.len()
-                        && origs_of_sub[out_origs[*cur] as usize] as usize == row
-                    {
-                        if let Some(out) = out_batches.first() {
-                            builder.push_row_from(out, *cur, &[]);
-                        }
-                        *cur += 1;
-                    }
-                }
-                Expanded {
-                    batches: builder.finish(),
-                    comm,
-                }
-            },
-        )?;
-        Ok(NodeOut {
-            batches,
-            tags,
-            home: Home::Tag(dst_slot),
-        })
-    }
-
-    fn run_project(
-        &self,
-        pool: &WorkerPool,
-        ctx: &QueryContext,
-        input: &NodeOut,
-        items: &[(Expr, String)],
-        stats: &mut ExecStats,
-    ) -> Result<NodeOut, ExecError> {
-        let in_tags = input.tags.clone();
-        let outs: Vec<(Vec<RecordBatch>, TagMap)> =
-            par_map_op(pool, input.batches.len(), "Project", |mi| {
-                context::worker_checkpoint(ctx);
-                relational::project_batches(
-                    self.graph,
-                    std::slice::from_ref(&input.batches[mi]),
-                    &in_tags,
-                    items,
-                )
-            })?;
-        // out tags are identical per morsel; recompute for the empty case
-        let tags = outs
-            .first()
-            .map(|(_, t)| t.clone())
-            .unwrap_or_else(|| relational::project_batches(self.graph, &[], &in_tags, items).1);
-        // rows do not move, but a projection that drops the distribution tag
-        // loses the rows' placement: collect them at the coordinator
-        let home = match input.home {
-            Home::Coordinator => Home::Coordinator,
-            Home::Tag(r) => {
-                let kept = items.iter().position(
-                    |(expr, _)| matches!(expr, Expr::Tag(t) if in_tags.slot(t) == Some(r)),
-                );
-                match kept {
-                    Some(out_slot) => Home::Tag(out_slot),
-                    None => {
-                        self.charge_gather(stats, &input.batches, input.home);
-                        Home::Coordinator
-                    }
-                }
-            }
-        };
-        Ok(NodeOut {
-            batches: outs.into_iter().flat_map(|(b, _)| b).collect(),
-            tags,
-            home,
-        })
-    }
-
-    fn run_hash_group(
-        &self,
-        pool: &WorkerPool,
-        ctx: &QueryContext,
-        input: &NodeOut,
-        keys: &[(Expr, String)],
-        aggs: &[(AggFunc, Expr, String)],
-        stats: &mut ExecStats,
-    ) -> Result<NodeOut, ExecError> {
-        self.charge_gather(stats, &input.batches, input.home);
-        let tags = &input.tags;
-        let mut out_tags = TagMap::new();
-        let mut key_passthrough: Vec<Option<usize>> = Vec::new();
-        for (expr, alias) in keys {
-            out_tags.slot_or_insert(alias);
-            key_passthrough.push(match expr {
-                Expr::Tag(t) => tags.slot(t),
-                _ => None,
-            });
-        }
-        for (_, _, alias) in aggs {
-            out_tags.slot_or_insert(alias);
-        }
-        let key_exprs: Vec<CompiledExpr> = keys
-            .iter()
-            .map(|(e, _)| CompiledExpr::compile(e, tags, self.graph))
-            .collect();
-        let agg_exprs: Vec<CompiledExpr> = aggs
-            .iter()
-            .map(|(_, e, _)| CompiledExpr::compile(e, tags, self.graph))
-            .collect();
-        // per-worker partial state: evaluated key and aggregate inputs. Keys
-        // take the typed Int/Date packed path (`relational::packed_group_keys`)
-        // when a single property key resolves to primitive columns — the
-        // boxed `PropValue` vectors are only built for uncovered morsels.
-        enum MorselKeys {
-            Packed(Vec<relational::PackedKey>),
-            Boxed(Vec<Vec<PropValue>>),
-        }
-        type Evaluated = (MorselKeys, Vec<Vec<PropValue>>);
-        let evals: Vec<Evaluated> = par_map_op(pool, input.batches.len(), "HashGroup", |mi| {
-            context::worker_checkpoint(ctx);
-            let batch = &input.batches[mi];
-            let keys_of = if key_exprs.len() == 1 {
-                relational::packed_group_keys(self.graph, batch, &key_exprs[0])
-                    .map(MorselKeys::Packed)
-            } else {
-                None
+                .collect();
+            let arity = |expected: usize, ok: bool| match ok {
+                true => Ok(()),
+                false => Err(ExecError::ArityMismatch {
+                    op: op_name(op),
+                    expected,
+                    actual: inputs.len(),
+                }),
             };
-            let keys_of = keys_of.unwrap_or_else(|| {
-                MorselKeys::Boxed(
-                    (0..batch.rows())
-                        .map(|row| {
-                            key_exprs
-                                .iter()
-                                .map(|e| relational::batch_eval(self.graph, batch, row, e))
-                                .collect::<Vec<_>>()
-                        })
-                        .collect(),
-                )
-            });
-            let mut agg_rows = Vec::with_capacity(batch.rows());
-            for row in 0..batch.rows() {
-                agg_rows.push(
-                    agg_exprs
+            let (batches, tags, home) = match op {
+                PhysicalOp::HashJoin { keys, kind } => {
+                    arity(2, inputs.len() == 2)?;
+                    let (l, r) = (inputs[0], inputs[1]);
+                    self.charge_gather(stats, &l.batches, l.home);
+                    self.charge_gather(stats, &r.batches, r.home);
+                    let (batches, tags, _) = relational::hash_join_batches(
+                        self.graph,
+                        &l.batches,
+                        &l.tags,
+                        &r.batches,
+                        &r.tags,
+                        keys,
+                        *kind,
+                        None,
+                        self.batch_size,
+                    )?;
+                    (batches, tags, Home::Coordinator)
+                }
+                PhysicalOp::Union => {
+                    arity(2, !inputs.is_empty())?;
+                    for n in &inputs {
+                        self.charge_gather(stats, &n.batches, n.home);
+                    }
+                    let pairs: Vec<(&[RecordBatch], &TagMap)> = inputs
                         .iter()
-                        .map(|e| relational::batch_eval(self.graph, batch, row, e))
-                        .collect::<Vec<_>>(),
-                );
+                        .map(|n| (n.batches.as_slice(), &n.tags))
+                        .collect();
+                    let (batches, tags) = relational::union_batches(&pairs);
+                    (batches, tags, Home::Coordinator)
+                }
+                PhysicalOp::PropertyFetch { tag, props } => {
+                    arity(1, inputs.len() == 1)?;
+                    let mut tags = inputs[0].tags.clone();
+                    let batches = relational::property_fetch_batches(
+                        self.graph,
+                        &inputs[0].batches,
+                        &mut tags,
+                        tag,
+                        props,
+                    )?;
+                    (batches, tags, inputs[0].home)
+                }
+                expand => {
+                    arity(1, inputs.len() == 1)?;
+                    let mut tags = inputs[0].tags.clone();
+                    let mut home = inputs[0].home;
+                    let stage = Stage::compile(self.graph, expand, &mut tags, &mut home)?;
+                    let mask = self.out_mask(live_out, &tags, home);
+                    let name = op_name(expand);
+                    let batches =
+                        self.run_expand(pool, ctx, name, inputs[0], &stage, &mask, stats)?;
+                    (batches, tags, home)
+                }
+            };
+            NodeOut {
+                live: self.out_mask(live_out, &tags, home),
+                batches,
+                tags,
+                home,
+                bytes: 0,
             }
-            (keys_of, agg_rows)
-        })?;
-        failpoint::check(context::FP_MERGE).map_err(context::injected)?;
-        // deterministic merge: fold morsels in oracle order so group
-        // first-encounter order and accumulator update order match the
-        // sequential engines bit for bit. A mixed packed/boxed morsel set
-        // unpacks the packed keys — identical values either way.
-        let mut ticker = context::Ticker::new();
-        let all_packed = evals
-            .iter()
-            .all(|(k, _)| matches!(k, MorselKeys::Packed(_)));
-        if all_packed {
-            let mut groups: HashMap<relational::PackedKey, (Vec<Entry>, Vec<Accumulator>)> =
-                HashMap::new();
-            let mut group_order: Vec<relational::PackedKey> = Vec::new();
-            for (mi, (keys_of, agg_rows)) in evals.into_iter().enumerate() {
-                let MorselKeys::Packed(key_rows) = keys_of else {
-                    unreachable!("all morsels packed")
-                };
-                let batch = &input.batches[mi];
-                for (row, (k, agg_vals)) in key_rows.into_iter().zip(agg_rows).enumerate() {
-                    ticker.tick(ctx).map_err(ExecError::LimitExceeded)?;
-                    let before = group_order.len();
-                    let entry =
-                        relational::group_entry(&mut groups, &mut group_order, k, aggs, || {
-                            key_passthrough
-                                .iter()
-                                .map(|pt| match pt {
-                                    Some(slot) => batch.entry(*slot, row).to_entry(),
-                                    None => Entry::Value(relational::unpack_group_key(k)),
-                                })
-                                .collect()
-                        });
-                    for (acc, v) in entry.1.iter_mut().zip(agg_vals) {
-                        acc.update(v);
+        };
+        // a streaming `out` counted its rows as the last stage of its chain
+        if !unit.collects() {
+            let produced = batch::total_rows(&out.batches) as u64;
+            stats.intermediate_records += produced;
+            stats.peak_records = stats.peak_records.max(produced);
+            ctx.add_records(produced)
+                .map_err(ExecError::LimitExceeded)?;
+        }
+        out.bytes = out.batches.iter().map(RecordBatch::approx_bytes).sum();
+        ctx.charge_bytes(out.bytes)
+            .map_err(ExecError::LimitExceeded)?;
+        Ok(out)
+    }
+
+    /// Compile the streaming chain of `unit` and its sink, and let a crew of
+    /// workers carry the source morsels through them.
+    #[allow(clippy::too_many_arguments)]
+    fn run_pipeline(
+        &self,
+        pool: &WorkerPool,
+        ctx: &QueryContext,
+        plan: &PhysicalPlan,
+        unit: &Unit,
+        live: &[Live],
+        outputs: &[Option<NodeOut>],
+        stats: &mut ExecStats,
+    ) -> Result<NodeOut, ExecError> {
+        let graph = self.graph;
+        let one_input = |id: PhysicalNodeId| match plan.inputs(id).len() {
+            1 => Ok(()),
+            actual => Err(ExecError::ArityMismatch {
+                op: op_name(plan.op(id)),
+                expected: 1,
+                actual,
+            }),
+        };
+        let input = unit.input.map(|i| {
+            outputs[i.0]
+                .as_ref()
+                .expect("materialized before its reader")
+        });
+        let (mut tags, mut home) = match input {
+            Some(o) => (o.tags.clone(), o.home),
+            None => (TagMap::new(), Home::Coordinator),
+        };
+        // the source morsels: the input's batches, or chunks of the scanned
+        // labels' vertex lists in (label, chunk) order — the oracle's order
+        let mut scan: Vec<&[VertexId]> = Vec::new();
+        let mut stages = Vec::with_capacity(unit.chain.len());
+        for &id in &unit.chain {
+            let stage = match plan.op(id) {
+                PhysicalOp::Scan {
+                    alias,
+                    constraint,
+                    predicate,
+                } => {
+                    home = Home::Tag(tags.slot_or_insert(alias));
+                    let all: Vec<_> = graph.schema().vertex_label_ids().collect();
+                    for l in constraint.materialize(&all) {
+                        scan.extend(graph.vertices_with_label(l).chunks(self.batch_size));
                     }
-                    if group_order.len() > before {
-                        ctx.charge_bytes(relational::GROUP_STATE_BYTES)
-                            .map_err(ExecError::LimitExceeded)?;
+                    match predicate {
+                        Some(p) => Stage::filter(graph, p, &tags),
+                        None => Stage::Pass,
                     }
                 }
-            }
-            let mut builder = BatchBuilder::new(out_tags.len(), self.batch_size);
-            relational::emit_groups(groups, group_order, &mut builder);
-            return Ok(NodeOut {
-                batches: builder.finish(),
-                tags: out_tags,
-                home: Home::Coordinator,
-            });
-        }
-        let mut groups: HashMap<Vec<PropValue>, (Vec<Entry>, Vec<Accumulator>)> = HashMap::new();
-        let mut group_order: Vec<Vec<PropValue>> = Vec::new();
-        for (mi, (keys_of, agg_rows)) in evals.into_iter().enumerate() {
-            let key_rows: Vec<Vec<PropValue>> = match keys_of {
-                MorselKeys::Boxed(rows) => rows,
-                MorselKeys::Packed(rows) => rows
-                    .into_iter()
-                    .map(|k| vec![relational::unpack_group_key(k)])
-                    .collect(),
+                op => {
+                    one_input(id)?;
+                    Stage::compile(graph, op, &mut tags, &mut home)?
+                }
             };
-            let batch = &input.batches[mi];
-            for (row, (key_vals, agg_vals)) in key_rows.into_iter().zip(agg_rows).enumerate() {
-                ticker.tick(ctx).map_err(ExecError::LimitExceeded)?;
-                let before = group_order.len();
-                let entry = relational::group_entry(
-                    &mut groups,
-                    &mut group_order,
-                    key_vals.clone(),
-                    aggs,
-                    || {
-                        key_passthrough
-                            .iter()
-                            .enumerate()
-                            .map(|(i, pt)| match pt {
-                                Some(slot) => batch.entry(*slot, row).to_entry(),
-                                None => Entry::Value(key_vals[i].clone()),
-                            })
-                            .collect()
+            stages.push((stage, self.out_mask(&live[id.0], &tags, home)));
+        }
+        let sink = if unit.collects() {
+            Sink::collect(None)
+        } else {
+            one_input(unit.out)?;
+            Sink::compile(graph, plan.op(unit.out), &tags)
+        };
+        let pipe = Pipeline {
+            engine: self,
+            ctx,
+            stages: &stages,
+            sink: &sink,
+            home,
+        };
+        let morsels = input.map_or(scan.len(), |o| o.batches.len());
+        let next = AtomicUsize::new(0);
+        let abort = AtomicBool::new(false);
+        let total = Mutex::new(Tally::default());
+        // one worker per available thread (capped at the morsel count); the
+        // submitting thread is always one of them
+        let crew = (pool.workers() + 1).min(morsels);
+        pool.run_phase(crew, &|_| {
+            let _guard = AbortOnUnwind(&abort);
+            let mut worker = Worker::new(&pipe);
+            while !abort.load(Ordering::Relaxed) {
+                let m = next.fetch_add(1, Ordering::Relaxed);
+                if m >= morsels {
+                    break;
+                }
+                worker.run(
+                    m,
+                    match input {
+                        Some(o) => Cow::Borrowed(&o.batches[m]),
+                        None => Cow::Owned(pipeline::scan_batch(scan[m])),
                     },
                 );
-                for (acc, v) in entry.1.iter_mut().zip(agg_vals) {
-                    acc.update(v);
-                }
-                if group_order.len() > before {
-                    ctx.charge_bytes(relational::GROUP_STATE_BYTES)
-                        .map_err(ExecError::LimitExceeded)?;
-                }
             }
-        }
-        let mut builder = BatchBuilder::new(out_tags.len(), self.batch_size);
-        relational::emit_groups(groups, group_order, &mut builder);
-        Ok(NodeOut {
-            batches: builder.finish(),
-            tags: out_tags,
-            home: Home::Coordinator,
+            total.lock().add(&worker.tally);
         })
-    }
-
-    fn run_order_limit(
-        &self,
-        pool: &WorkerPool,
-        ctx: &QueryContext,
-        input: &NodeOut,
-        keys: &[(Expr, SortDir)],
-        limit: Option<usize>,
-        stats: &mut ExecStats,
-    ) -> Result<NodeOut, ExecError> {
-        self.charge_gather(stats, &input.batches, input.home);
-        let tags = input.tags.clone();
-        let compiled: Vec<CompiledExpr> = keys
-            .iter()
-            .map(|(e, _)| CompiledExpr::compile(e, &tags, self.graph))
-            .collect();
-        let desc = matches!(keys.first(), Some((_, SortDir::Desc)));
-        // per-worker partial state: evaluated keys + a stable local sort. A
-        // single sort key over primitive Int/Date columns takes the typed
-        // packed path — `PackedKey` order is isomorphic to `PropValue` order
-        // on the Null/Int/Date domain, so the local sort and the merge agree
-        // with the boxed comparator bit for bit.
-        enum MorselSort {
-            Packed(Vec<relational::PackedKey>, Vec<u32>),
-            Boxed(Vec<Vec<PropValue>>, Vec<u32>),
+        .map_err(|payload| context::map_panic(payload, op_name(plan.op(unit.out))))?;
+        let tally = total.into_inner();
+        for rows in tally.rows {
+            stats.intermediate_records += rows;
+            stats.peak_records = stats.peak_records.max(rows);
         }
-        let sorted: Vec<MorselSort> = par_map_op(pool, input.batches.len(), "OrderLimit", |mi| {
-            context::worker_checkpoint(ctx);
-            let batch = &input.batches[mi];
-            if compiled.len() == 1 {
-                if let Some(packed) = relational::packed_group_keys(self.graph, batch, &compiled[0])
-                {
-                    let mut order: Vec<u32> = (0..batch.rows() as u32).collect();
-                    order.sort_by(|&a, &b| {
-                        let ord = packed[a as usize].cmp(&packed[b as usize]);
-                        if desc {
-                            ord.reverse()
-                        } else {
-                            ord
-                        }
-                    });
-                    return MorselSort::Packed(packed, order);
-                }
-            }
-            let key_rows: Vec<Vec<PropValue>> = (0..batch.rows())
-                .map(|row| {
-                    compiled
-                        .iter()
-                        .map(|e| relational::batch_eval(self.graph, batch, row, e))
-                        .collect()
-                })
-                .collect();
-            let mut order: Vec<u32> = (0..batch.rows() as u32).collect();
-            order.sort_by(|&a, &b| {
-                relational::cmp_sort_keys(&key_rows[a as usize], &key_rows[b as usize], keys)
-            });
-            MorselSort::Boxed(key_rows, order)
-        })?;
-        failpoint::check(context::FP_MERGE).map_err(context::injected)?;
-        let total: usize = input.batches.iter().map(|b| b.rows()).sum();
-        ctx.charge_bytes(total as u64 * relational::SORT_ROW_BYTES)
-            .map_err(ExecError::LimitExceeded)?;
-        let take = limit.unwrap_or(total).min(total);
-        let mut cursors = vec![0usize; sorted.len()];
-        let mut builder = BatchBuilder::new(tags.len(), self.batch_size);
-        let mut ticker = context::Ticker::new();
-        // deterministic k-way merge: smallest key first, ties resolved by
-        // morsel index — exactly the oracle's stable global sort
-        if sorted.iter().all(|m| matches!(m, MorselSort::Packed(..))) {
-            let packed: Vec<(&[relational::PackedKey], &[u32])> = sorted
-                .iter()
-                .map(|m| match m {
-                    MorselSort::Packed(k, o) => (k.as_slice(), o.as_slice()),
-                    MorselSort::Boxed(..) => unreachable!("all morsels packed"),
-                })
-                .collect();
-            for _ in 0..take {
-                ticker.tick(ctx).map_err(ExecError::LimitExceeded)?;
-                let mut best: Option<usize> = None;
-                for (mi, (key_rows, order)) in packed.iter().enumerate() {
-                    if cursors[mi] >= order.len() {
-                        continue;
-                    }
-                    match best {
-                        None => best = Some(mi),
-                        Some(b) => {
-                            let (bk, border) = &packed[b];
-                            let ka = key_rows[order[cursors[mi]] as usize];
-                            let kb = bk[border[cursors[b]] as usize];
-                            let ord = if desc {
-                                ka.cmp(&kb).reverse()
-                            } else {
-                                ka.cmp(&kb)
-                            };
-                            if ord == std::cmp::Ordering::Less {
-                                best = Some(mi);
-                            }
-                        }
-                    }
-                }
-                let Some(mi) = best else { break };
-                let row = packed[mi].1[cursors[mi]] as usize;
-                cursors[mi] += 1;
-                builder.push_row_from(&input.batches[mi], row, &[]);
-            }
-        } else {
-            // mixed packed/boxed morsel set: unpack — identical values either way
-            let boxed: Vec<(Vec<Vec<PropValue>>, Vec<u32>)> = sorted
-                .into_iter()
-                .map(|m| match m {
-                    MorselSort::Boxed(k, o) => (k, o),
-                    MorselSort::Packed(k, o) => (
-                        k.into_iter()
-                            .map(|pk| vec![relational::unpack_group_key(pk)])
-                            .collect(),
-                        o,
-                    ),
-                })
-                .collect();
-            for _ in 0..take {
-                ticker.tick(ctx).map_err(ExecError::LimitExceeded)?;
-                let mut best: Option<usize> = None;
-                for (mi, (key_rows, order)) in boxed.iter().enumerate() {
-                    if cursors[mi] >= order.len() {
-                        continue;
-                    }
-                    match best {
-                        None => best = Some(mi),
-                        Some(b) => {
-                            let (bk, border) = &boxed[b];
-                            let ord = relational::cmp_sort_keys(
-                                &key_rows[order[cursors[mi]] as usize],
-                                &bk[border[cursors[b]] as usize],
-                                keys,
-                            );
-                            if ord == std::cmp::Ordering::Less {
-                                best = Some(mi);
-                            }
-                        }
-                    }
-                }
-                let Some(mi) = best else { break };
-                let row = boxed[mi].1[cursors[mi]] as usize;
-                cursors[mi] += 1;
-                builder.push_row_from(&input.batches[mi], row, &[]);
-            }
+        stats.comm_records += tally.comm.shipped;
+        stats.locality_hits += tally.comm.local_hits;
+        stats.comm_bytes += tally.comm_bytes;
+        let gathered = sink.gathers();
+        if gathered {
+            failpoint::check(context::FP_MERGE).map_err(context::injected)?;
+        }
+        let (batches, out_tags, state_bytes) = sink.finish(graph, tags.len(), self.batch_size);
+        ctx.release_bytes(state_bytes);
+        let tags = out_tags.unwrap_or(tags);
+        if gathered {
+            home = Home::Coordinator;
         }
         Ok(NodeOut {
-            batches: builder.finish(),
-            tags,
-            home: Home::Coordinator,
-        })
-    }
-
-    fn run_dedup(
-        &self,
-        pool: &WorkerPool,
-        ctx: &QueryContext,
-        input: &NodeOut,
-        keys: &[Expr],
-        stats: &mut ExecStats,
-    ) -> Result<NodeOut, ExecError> {
-        self.charge_gather(stats, &input.batches, input.home);
-        let tags = input.tags.clone();
-        let compiled: Vec<CompiledExpr> = keys
-            .iter()
-            .map(|e| CompiledExpr::compile(e, &tags, self.graph))
-            .collect();
-        // per-worker partial state: evaluated dedup keys
-        let key_rows: Vec<Vec<Vec<PropValue>>> =
-            par_map_op(pool, input.batches.len(), "Dedup", |mi| {
-                context::worker_checkpoint(ctx);
-                let batch = &input.batches[mi];
-                let width = relational::keyless_dedup_width(&tags, batch.width());
-                (0..batch.rows())
-                    .map(|row| {
-                        if compiled.is_empty() {
-                            (0..width).map(|s| batch.entry(s, row).to_value()).collect()
-                        } else {
-                            compiled
-                                .iter()
-                                .map(|e| relational::batch_eval(self.graph, batch, row, e))
-                                .collect()
-                        }
-                    })
-                    .collect()
-            })?;
-        failpoint::check(context::FP_MERGE).map_err(context::injected)?;
-        // deterministic merge: first-occurrence wins in oracle order
-        let mut ticker = context::Ticker::new();
-        let mut seen: std::collections::HashSet<Vec<PropValue>> = std::collections::HashSet::new();
-        let mut batches = Vec::new();
-        for (mi, rows) in key_rows.into_iter().enumerate() {
-            let batch = &input.batches[mi];
-            let mut sel: Vec<u32> = Vec::new();
-            for (row, key) in rows.into_iter().enumerate() {
-                ticker.tick(ctx).map_err(ExecError::LimitExceeded)?;
-                if seen.insert(key) {
-                    ctx.charge_bytes(relational::DEDUP_KEY_BYTES)
-                        .map_err(ExecError::LimitExceeded)?;
-                    sel.push(row as u32);
-                }
-            }
-            if sel.len() == batch.rows() {
-                batches.push(batch.clone());
-            } else if !sel.is_empty() {
-                batches.push(batch.gather(&sel, batch.width()));
-            }
-        }
-        Ok(NodeOut {
+            live: self.out_mask(&live[unit.out.0], &tags, home),
             batches,
             tags,
-            home: Home::Coordinator,
+            home,
+            bytes: 0,
         })
+    }
+
+    /// An expand as a partition exchange over a materialized input: route
+    /// each window of morsels to the partitions owning the routing vertices,
+    /// run the kernel per partition, merge the oracle row order back.
+    #[allow(clippy::too_many_arguments)]
+    fn run_expand(
+        &self,
+        pool: &WorkerPool,
+        ctx: &QueryContext,
+        op: &'static str,
+        input: &NodeOut,
+        stage: &Stage<'_>,
+        live: &[bool],
+        stats: &mut ExecStats,
+    ) -> Result<Vec<RecordBatch>, ExecError> {
+        let pm = self.graph.partition_map();
+        match stage {
+            Stage::Expand(kernel) => {
+                let (route_slot, route_dir) = kernel.route();
+                self.exchange_expand(
+                    pool,
+                    ctx,
+                    op,
+                    input,
+                    route_slot,
+                    route_dir,
+                    stats,
+                    |split| {
+                        let mut kouts: Vec<KernelScratch> = Vec::with_capacity(split.subs.len());
+                        let mut comm = CommTally::default();
+                        for (part, sub, _) in &split.subs {
+                            context::worker_checkpoint(ctx);
+                            let mut s = KernelScratch::default();
+                            comm += kernel.run(self.graph, sub, self.pmap(), &mut s);
+                            // an intersection's outputs are routed to the target
+                            // vertex's partition — unless the target is a
+                            // replicated hub, whose adjacency the local shard
+                            // already holds
+                            if matches!(kernel, ExpandKernel::Intersect(_)) {
+                                for &d in s.dst.iter().filter(|d| pm.partition_of(**d) != *part) {
+                                    if pm.is_hub(d) {
+                                        comm.local_hits += 1;
+                                    } else {
+                                        comm.shipped += 1;
+                                    }
+                                }
+                            }
+                            kouts.push(s);
+                        }
+                        // fast path: every routed row of this window lives on one
+                        // shard, so kernel emission order IS the oracle order —
+                        // gather columns instead of copying row by row
+                        let batches = if let ([(_, sub, _)], [s]) = (&split.subs[..], &kouts[..]) {
+                            kernel.emit(sub, s, live, self.batch_size).collect()
+                        } else {
+                            let sels: Vec<&[u32]> =
+                                kouts.iter().map(|s| s.sel.as_slice()).collect();
+                            self.merge_window(split, &sels, live, |builder, si, j| {
+                                let s = &kouts[si];
+                                let mut overrides = [(usize::MAX, EntryRef::Null); 2];
+                                if let Some(slot) = kernel.dst_slot() {
+                                    overrides[0] = (slot, EntryRef::Vertex(s.dst[j]));
+                                }
+                                if let Some(slot) = kernel.edge_slot() {
+                                    overrides[1] = (slot, EntryRef::Edge(s.edge[j]));
+                                }
+                                builder.push_row_from(
+                                    &split.subs[si].1,
+                                    s.sel[j] as usize,
+                                    &overrides,
+                                );
+                            })
+                        };
+                        Expanded { batches, comm }
+                    },
+                )
+            }
+            Stage::Path(k) => {
+                let (slot, dir) = (k.src_slot, k.direction);
+                self.exchange_expand(pool, ctx, op, input, slot, dir, stats, |split| {
+                    // per sub-batch: fully materialised output rows (one
+                    // oversized batch) plus the producing sub-row per output
+                    // row, which the merge orders them by
+                    let mut comm = CommTally::default();
+                    let mut kouts = Vec::with_capacity(split.subs.len());
+                    for (_, sub, _) in &split.subs {
+                        context::worker_checkpoint(ctx);
+                        let (out, origins, crossed) =
+                            k.run(self.graph, sub, self.pmap(), live, usize::MAX);
+                        comm += crossed;
+                        kouts.push((out, origins));
+                    }
+                    let sels: Vec<&[u32]> = kouts.iter().map(|k| k.1.as_slice()).collect();
+                    let batches = self.merge_window(split, &sels, live, |builder, si, j| {
+                        builder.push_row_from(&kouts[si].0[0], j, &[]);
+                    });
+                    Expanded { batches, comm }
+                })
+            }
+            _ => unreachable!("{op} does not exchange"),
+        }
     }
 }
 
@@ -2488,7 +1643,7 @@ impl<'g> ParallelEngine<'g> {
 mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
-    use gopt_gir::pattern::Direction;
+    use gopt_gir::types::TypeConstraint;
     use gopt_graph::generator::{random_graph, RandomGraphConfig};
     use gopt_graph::schema::fig6_schema;
     use gopt_graph::PropertyGraph;

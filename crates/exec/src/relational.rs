@@ -251,6 +251,17 @@ impl Accumulator {
         }
     }
 
+    /// Count `n` more non-null inputs of a `Count` aggregate.
+    #[inline]
+    pub(crate) fn add_count(&mut self, n: u64) {
+        self.count += n;
+    }
+
+    /// The non-null inputs seen so far.
+    pub(crate) fn count(&self) -> u64 {
+        self.count
+    }
+
     pub(crate) fn update(&mut self, v: PropValue) {
         if v.is_null() {
             return;
@@ -1243,7 +1254,7 @@ pub fn union_batches(inputs: &[(&[RecordBatch], &TagMap)]) -> (Vec<RecordBatch>,
                     None => Column::nulls(rows),
                 })
                 .collect();
-            out.push(RecordBatch::from_columns(columns));
+            out.push(RecordBatch::with_rows(columns, rows));
         }
     }
     (out, out_tags)

@@ -13,6 +13,9 @@ use gopt_graph::generator::{random_graph, RandomGraphConfig};
 use gopt_graph::schema::fig6_schema;
 use gopt_graph::PropertyGraph;
 
+#[path = "../../../tests/common/pipeline_plans.rs"]
+mod pipeline_plans;
+
 fn graph(seed: u64) -> PropertyGraph {
     random_graph(
         &fig6_schema(),
@@ -594,4 +597,16 @@ fn sum_and_max_aggregates_match() {
     });
     assert_equivalent(&g, &plan, None);
     assert_equivalent(&g, &plan, Some(2));
+}
+
+/// The pipeline-shaped plans of the morsel engine's suite: the batched engine
+/// agrees with the scalar one on each, and so does the morsel engine at every
+/// partition count, thread count, batch size and placement.
+#[test]
+fn pipeline_shaped_plans() {
+    let g = pipeline_plans::pipeline_graph();
+    for (name, plan) in pipeline_plans::pipeline_plans(&g) {
+        assert_equivalent(&g, &plan, None);
+        pipeline_plans::assert_parallel_matrix(&g, name, &plan, &[1, 2, 4]);
+    }
 }

@@ -26,6 +26,7 @@ use crate::logical::JoinType;
 use crate::pattern::{Direction, PathSemantics};
 use crate::types::TypeConstraint;
 use gopt_graph::PropValue;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a node within one [`PhysicalPlan`].
@@ -199,6 +200,56 @@ impl PhysicalOp {
             PhysicalOp::Dedup { .. } => "Dedup",
             PhysicalOp::Union => "Union",
         }
+    }
+
+    /// The tags of its input this operator reads: those its expressions
+    /// name, plus its source and key tags. (A predicate on a vertex or edge
+    /// the operator itself binds names that alias too.)
+    pub fn reads(&self) -> BTreeSet<String> {
+        let mut exprs = Vec::new();
+        collect_op_exprs(self, &mut exprs);
+        let mut tags: BTreeSet<String> = exprs.iter().flat_map(|e| e.referenced_tags()).collect();
+        match self {
+            PhysicalOp::EdgeExpand { src, .. } | PhysicalOp::PathExpand { src, .. } => {
+                tags.insert(src.clone());
+            }
+            PhysicalOp::ExpandInto { src, dst, .. } => tags.extend([src.clone(), dst.clone()]),
+            PhysicalOp::ExpandIntersect { steps, .. } => {
+                tags.extend(steps.iter().map(|s| s.src.clone()))
+            }
+            PhysicalOp::HashJoin { keys, .. } => tags.extend(keys.iter().cloned()),
+            PhysicalOp::PropertyFetch { tag, .. } => {
+                tags.insert(tag.clone());
+            }
+            _ => {}
+        }
+        tags
+    }
+
+    /// The aliases a pattern-matching operator binds on top of its input's
+    /// tags (empty for every other operator).
+    pub fn binds(&self) -> Vec<&str> {
+        let (vertex, other) = match self {
+            PhysicalOp::Scan { alias, .. } => (Some(alias), &None),
+            PhysicalOp::EdgeExpand {
+                dst_alias,
+                edge_alias,
+                ..
+            } => (Some(dst_alias), edge_alias),
+            PhysicalOp::ExpandInto { edge_alias, .. } => (None, edge_alias),
+            PhysicalOp::ExpandIntersect { dst_alias, .. } => (Some(dst_alias), &None),
+            PhysicalOp::PathExpand {
+                dst_alias,
+                path_alias,
+                ..
+            } => (Some(dst_alias), path_alias),
+            _ => (None, &None),
+        };
+        vertex
+            .into_iter()
+            .chain(other)
+            .map(String::as_str)
+            .collect()
     }
 
     /// Whether this is one of the pattern-matching (graph) operators.
@@ -624,6 +675,41 @@ mod tests {
             dst_predicate: None,
             edge_predicate: None,
         }
+    }
+
+    #[test]
+    fn reads_and_binds_name_the_tags_an_operator_touches() {
+        let tags = |op: &PhysicalOp| op.reads().into_iter().collect::<Vec<_>>();
+        let mut e = expand("a", "b");
+        if let PhysicalOp::EdgeExpand {
+            edge_alias,
+            dst_predicate,
+            ..
+        } = &mut e
+        {
+            *edge_alias = Some("e".into());
+            *dst_predicate = Some(Expr::prop_eq("b", "name", "x").and(Expr::prop_eq("c", "k", 1)));
+        }
+        assert_eq!(tags(&e), ["a", "b", "c"]);
+        assert_eq!(e.binds(), ["b", "e"]);
+        assert_eq!(scan("v").binds(), ["v"]);
+        assert!(tags(&scan("v")).is_empty());
+        let join = PhysicalOp::HashJoin {
+            keys: vec!["k".into()],
+            kind: JoinType::Inner,
+        };
+        assert_eq!(tags(&join), ["k"]);
+        assert!(join.binds().is_empty());
+        let group = PhysicalOp::HashGroup {
+            keys: vec![(Expr::prop("p", "id"), "id".into())],
+            aggs: vec![(AggFunc::Count, Expr::tag("m"), "cnt".into())],
+        };
+        assert_eq!(tags(&group), ["m", "p"]);
+        let fetch = PhysicalOp::PropertyFetch {
+            tag: "t".into(),
+            props: None,
+        };
+        assert_eq!(tags(&fetch), ["t"]);
     }
 
     #[test]

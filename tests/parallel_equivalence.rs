@@ -22,6 +22,9 @@ use gopt::workloads::{
 };
 use proptest::prelude::*;
 
+#[path = "common/pipeline_plans.rs"]
+mod pipeline_plans;
+
 const PARTITIONS: [usize; 3] = [1, 2, 4];
 
 /// Thread counts under test: `GOPT_THREADS` (comma-separated) or {1, 2, 4}.
@@ -178,6 +181,17 @@ fn workload_plans_agree_with_the_scalar_oracle() {
         planned >= 8,
         "expected to replay at least 8 optimized workload plans, got {planned}"
     );
+}
+
+/// Pipeline-shaped plans — every way a fused chain can end or be cut, over
+/// dead and live slots and empty inputs — across the whole partition × thread
+/// × batch size × placement matrix.
+#[test]
+fn pipeline_shaped_plans_agree_across_the_whole_matrix() {
+    let g = pipeline_plans::pipeline_graph();
+    for (name, plan) in pipeline_plans::pipeline_plans(&g) {
+        pipeline_plans::assert_parallel_matrix(&g, name, &plan, &thread_matrix());
+    }
 }
 
 /// The typed Int/Date grouping fast path on the parallel engine: packed keys
