@@ -31,7 +31,8 @@ use std::time::{Duration, Instant};
 pub(crate) const FP_OPERATOR: &str = "exec.operator";
 /// Fail point hit by every pooled worker task (morsel dispatch).
 pub(crate) const FP_MORSEL: &str = "exec.morsel";
-/// Fail point hit at partition-exchange routing (`shuffle_by`).
+/// Fail point hit once per morsel entering an expand stage with more than one
+/// partition: where a multi-process deployment would route it.
 pub(crate) const FP_EXCHANGE: &str = "exec.exchange";
 /// Fail point hit at pipeline-breaker merge points.
 pub(crate) const FP_MERGE: &str = "exec.merge";
@@ -222,7 +223,14 @@ pub(crate) fn worker_checkpoint(ctx: &QueryContext) {
     if let Err(reason) = ctx.check() {
         std::panic::panic_any(TaskAbort::Limit(reason));
     }
-    if let Err(f) = failpoint::check(FP_MORSEL) {
+    task_failpoint(FP_MORSEL);
+}
+
+/// Fail point `point` inside a pooled worker task: an `err` action unwinds
+/// with a [`TaskAbort`] payload.
+#[inline]
+pub(crate) fn task_failpoint(point: &str) {
+    if let Err(f) = failpoint::check(point) {
         std::panic::panic_any(TaskAbort::Injected {
             point: f.point,
             msg: f.msg,

@@ -81,7 +81,7 @@ pub struct ExecStats {
     /// routed rows. Measured only by the parallel engine (the scalar/batched
     /// engines simulate partitions and leave it 0); like `comm_records` it is
     /// a pure function of the data and the partitioner — identical across
-    /// thread counts and exchange modes, and 0 with one partition.
+    /// thread counts, and 0 with one partition.
     pub comm_bytes: u64,
     /// Partition-boundary crossings that were served on the local shard by a
     /// replicated hub adjacency instead of shipping the row (0 without hub
@@ -92,12 +92,9 @@ pub struct ExecStats {
     /// partitioned graph this query ran against — the storage price paid for
     /// `locality_hits`. Constant per deployment, not per query.
     pub replicated_bytes: u64,
-    /// Peak bytes of gathered sub-batches resident in exchange queues at any
-    /// instant (parallel engine only). Unlike the `comm_*` counters this is a
-    /// *diagnostic*: it depends on scheduling and the configured exchange
-    /// capacity, so it is never compared across runs — it exists to show that
-    /// pipelined exchange bounds its intermediate memory where the barrier
-    /// mode materializes every routed morsel at once.
+    /// Always 0: partitioned expands stream through the pipeline and no
+    /// longer buffer routed rows. Kept only because the benchmark harness
+    /// reads it; a benchmark-only change removes it.
     pub exchange_peak_bytes: u64,
     /// Wall-clock execution time in microseconds.
     pub elapsed_micros: u128,

@@ -818,8 +818,7 @@ pub(crate) struct KernelScratch {
 /// A selection-vector expand (`EdgeExpand`, `ExpandInto`, `ExpandIntersect`)
 /// with tags resolved, labels materialized and predicates compiled — all that
 /// is hoisted out of the per-batch kernel. The batched engine runs it batch
-/// after batch; the morsel engine as a fused pipeline stage, or between the
-/// route and merge halves of a partition exchange.
+/// after batch; the morsel engine as a fused pipeline stage.
 pub(crate) enum ExpandKernel<'p> {
     Edge(EdgeKernel<'p>),
     Into(EdgeKernel<'p>),
@@ -931,7 +930,7 @@ impl<'p> ExpandKernel<'p> {
         }))
     }
 
-    /// The slot whose vertex a partition exchange routes rows by, and the
+    /// The slot whose vertex routes a row to its shard, and the
     /// adjacency direction read from it (an intersection is performed on its
     /// first step source's partition).
     pub(crate) fn route(&self) -> (usize, Direction) {

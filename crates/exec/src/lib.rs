@@ -45,7 +45,8 @@
 //! The partitioned backend's [`parallel::ParallelEngine`] runs the same
 //! operators as *fused morsel pipelines*: the plan is cut at its breakers, a
 //! worker carries one morsel through a pipeline's streaming stages into its
-//! sink, and only the tag slots some reader still names are gathered.
+//! sink, and only the tag slots some reader still names are gathered. Expands
+//! stream at every partition count; what crosses shards is charged per batch.
 //!
 //! # Query lifecycle
 //!
@@ -57,7 +58,7 @@
 //! and inside breaker accumulation loops. Worker panics are confined to the
 //! failing query ([`error::ExecError::WorkerPanicked`]) while the pool stays
 //! healthy, and the `failpoint` shim injects deterministic faults at morsel
-//! dispatch, exchange routing, and breaker merge points for the chaos suites.
+//! dispatch, expand routing, and breaker merge points for the chaos suites.
 
 #![warn(missing_docs)]
 
@@ -83,5 +84,5 @@ pub use context::QueryContext;
 pub use engine::{BatchEngine, Engine, EngineConfig, ExecResult, ExecStats};
 pub use error::{ExecError, LimitReason};
 pub use gopt_graph::PartitionerSpec;
-pub use parallel::{ExchangeMode, MorselPool, ParallelEngine, DEFAULT_EXCHANGE_CAP};
+pub use parallel::{MorselPool, ParallelEngine};
 pub use record::{Entry, Record, RecordContext, TagMap};

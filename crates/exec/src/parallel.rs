@@ -3,9 +3,7 @@
 //! [`ParallelEngine`] interprets a [`PhysicalPlan`] against a
 //! [`PartitionedGraph`] — the sharded CSR storage of `gopt_graph::partition` —
 //! with a fixed pool of worker threads. The unit of scheduling is the
-//! *morsel*: one [`RecordBatch`] of at most `batch_size` rows, exactly the
-//! batches the vectorized operators of [`crate::expand`] and
-//! [`crate::relational`] already produce.
+//! *morsel*: one [`RecordBatch`] of at most `batch_size` rows.
 //!
 //! # Execution model
 //!
@@ -14,110 +12,64 @@
 //! its sink, gathering only the tag slots some reader still names — see
 //! the `pipeline` and `sink` modules. Every materialized output is an
 //! **ordered** sequence of batches whose concatenated rows are bit-for-bit
-//! the rows the sequential [`BatchEngine`] (and therefore the scalar
-//! [`Engine`] oracle) would produce, in the same order: sinks fold what the
-//! workers hand in strictly in morsel order, and an output is dropped (its
-//! metered bytes returned to the [`QueryContext`]) as soon as its last
-//! reader has run.
+//! the rows the scalar [`Engine`] oracle would produce, in the same order:
+//! sinks fold what the workers hand in strictly in morsel order, and an
+//! output is dropped (its metered bytes returned to the [`QueryContext`]) as
+//! soon as its last reader has run.
 //!
-//! With one partition every expand is such a streaming stage. With more,
-//! **expand operators run a real partition exchange** and so break the
-//! pipeline: each *window* of up to `EXCHANGE_WINDOW` consecutive morsels is
-//! split by the partition owning the routing vertex (the expansion source,
-//! looked up in the graph's shared [`PartitionMap`]), the per-partition
-//! sub-batches run the shared expansion kernels against their own
-//! [`GraphShard`]'s CSR, and a deterministic per-window merge restores the
-//! oracle row order from the kernels' selection vectors. At the expand
-//! boundary output rows are routed by the *target* vertex's partition — the
-//! rows whose target partition differs from the partition that produced them
-//! are the measured shuffle. `HashJoin` and `Union` read their materialized
-//! inputs at the coordinator.
+//! One driver serves every partition count, and expands stream at every
+//! partition count: the kernels read adjacency and properties through the
+//! graph's [`GraphView`], which locates each vertex's owning [`GraphShard`]
+//! (or a hub's local replica) itself, so no row is moved to be expanded and
+//! rows never leave the oracle's order. `HashJoin`, `Union` and a live
+//! `PropertyFetch` read their materialized inputs at the coordinator.
 //!
 //! # Measured communication
 //!
-//! Unlike the scalar/batched engines — which *simulate* a partitioned
-//! deployment on monolithic storage — `ExecStats::comm_records` here is a
-//! measured count of rows crossing shards, accumulated at three points:
+//! `ExecStats::comm_records` counts the rows a multi-process deployment of
+//! the same placement would ship between shards. Every charge is a pure
+//! function of one batch and the graph's [`PartitionMap`] — the placement
+//! oracle the kernels share, for the modulo [`HashPartitioner`] and the
+//! owner tables of a [`GreedyPartitioner`] alike — never of thread count or
+//! scheduling:
 //!
-//! 1. **Alignment shuffles**: when an operator expands from a tag whose
-//!    vertices do not own the rows (the rows' current *home* differs from the
-//!    routing partition), every row that moves is counted.
-//! 2. **Expand boundaries**: rows whose newly bound target vertex lives on a
-//!    different partition than the one that produced them (for `PathExpand`,
-//!    every hop that crosses partitions, matching the traversal model).
-//! 3. **Gathers**: pipeline breakers, joins and unions collect rows at the
-//!    coordinator (partition 0); every row not already homed there is
-//!    counted.
+//! 1. **Route alignment**: a batch entering an expand is routed to the shard
+//!    owning each row's routing vertex (the expansion source; an
+//!    intersection's first step source). A row whose current *home* differs
+//!    ships — unless the routing vertex is a replicated hub (see
+//!    `gopt_graph::HubReplicas`) and the expand reads its `Out` adjacency,
+//!    which every shard holds: that row is a locality hit instead.
+//! 2. **Expand boundaries**: the kernels' [`CommTally`] — rows whose new
+//!    target lives on another shard than their source (every crossing hop of
+//!    a `PathExpand`; intersection rows whose step sources span shards).
+//! 3. **Intersection targets**: intersection outputs whose target is off the
+//!    routing shard.
+//! 4. **Gathers**: breaker sinks, joins, unions and a `Project` that drops
+//!    the home tag collect rows at the coordinator (partition 0); every row
+//!    not homed there ships.
 //!
-//! All three consult the graph's [`PartitionMap`] — the single placement
-//! oracle shared with the expansion kernels, answering for the modulo
-//! [`HashPartitioner`] and for the owner tables a [`GreedyPartitioner`]
-//! produces alike — never partition arithmetic of their own. A crossing
-//! whose required adjacency is covered by a replicated hub (see
-//! `gopt_graph::HubReplicas`) is served by the local replica instead of
-//! shipping the row: it accumulates into `ExecStats::locality_hits` rather
-//! than `comm_records`, and `ExecStats::replicated_bytes` reports the
-//! storage price of the replica overlay. Every count is a pure function of
-//! the data, the placement and the replica set — never of the thread count
-//! or scheduling — so communication counts are identical across thread
-//! counts by construction (asserted by `tests/parallel_equivalence.rs`).
-//! With one partition every count is zero.
+//! Crossings a hub replica serves accumulate into `ExecStats::locality_hits`
+//! rather than `comm_records`, and `ExecStats::replicated_bytes` reports the
+//! storage price of the replica overlay. `ExecStats::comm_bytes` charges a
+//! shipped row its batch's per-row share of [`RecordBatch::approx_bytes`]
+//! (integer arithmetic, see `ship_bytes`); an expand boundary charges the
+//! share of the expand's output. With one partition nothing is charged.
 //!
-//! `ExecStats::comm_bytes` applies the same rules to payload sizes: every
-//! shipped row is charged its batch's per-row share of
-//! [`RecordBatch::approx_bytes`] (integer arithmetic, see `ship_bytes`), so
-//! byte counts inherit the thread- and schedule-invariance of the row counts.
+//! The `exec.exchange` fail point fires once per batch entering an expand
+//! stage with more than one partition — where a multi-process deployment
+//! would route it.
 //!
-//! # Coalesced routing, pipelined exchange and backpressure
-//!
-//! Each expand operator runs its partition exchange through
-//! [`exchange_expand`](ParallelEngine): a *route* unit takes a window of up
-//! to `EXCHANGE_WINDOW` consecutive morsels and splits it by routing
-//! partition — accumulating the window's routed rows into **one** gathered
-//! sub-batch per destination partition instead of one per
-//! (morsel × partition), so a window costs one channel message and at most
-//! `p` gathered batches — and an *expand* unit runs the expansion kernels
-//! over the split and merges the oracle row order back. How the two stages
-//! are scheduled is the [`ExchangeMode`]:
-//!
-//! * [`ExchangeMode::Barrier`] materializes **every** routed split first and
-//!   only then expands — the classic synchronous exchange, with peak memory
-//!   proportional to the whole intermediate.
-//! * [`ExchangeMode::Pipelined`] (the default) streams splits through a
-//!   bounded channel of capacity `GOPT_EXCHANGE_CAP` (default
-//!   [`DEFAULT_EXCHANGE_CAP`]): a cooperative crew of identical workers
-//!   routes, forwards and expands concurrently, and a producer that finds the
-//!   channel full first *helps drain it* and otherwise parks in short,
-//!   bounded, context-checked waits — backpressure without lost wakeups, so
-//!   cancellation, deadlines and fail points fire even while blocked on a
-//!   full (or empty) channel. At most `capacity + workers` gathered splits
-//!   are resident at once, independent of the input size. Any single worker
-//!   can drain the whole pipeline alone, so the stage is deadlock-free at
-//!   every capacity ≥ 1 and thread count ≥ 1.
-//!
-//! Both modes execute identical route and expand units over identical
-//! windows in identical per-window order at the merge, so rows, row order
-//! and every `comm_*` stat are bit-identical between them;
-//! `ExecStats::exchange_peak_bytes` is the only observable difference (it
-//! measures resident gathered bytes, which is the point of pipelining).
-//!
-//! An unparseable `GOPT_EXCHANGE_CAP`, `GOPT_EXCHANGE_MODE` or
-//! `GOPT_PARTITIONER` value is a configuration mistake, not a hint: it
-//! surfaces as [`ExecError::Config`] on the first execute instead of being
-//! silently replaced by a default.
-//!
-//! [`BatchEngine`]: crate::engine::BatchEngine
 //! [`Engine`]: crate::engine::Engine
 //! [`GraphShard`]: gopt_graph::GraphShard
 //! [`HashPartitioner`]: gopt_graph::HashPartitioner
 //! [`GreedyPartitioner`]: gopt_graph::GreedyPartitioner
 //! [`PartitionMap`]: gopt_graph::PartitionMap
 
-use crate::batch::{self, BatchBuilder, EntryRef, RecordBatch, DEFAULT_BATCH_SIZE};
+use crate::batch::{self, RecordBatch, DEFAULT_BATCH_SIZE};
 use crate::context::{self, QueryContext};
 use crate::engine::{op_name, ExecResult, ExecStats};
 use crate::error::ExecError;
-use crate::expand::{CommTally, ExpandKernel, KernelScratch};
+use crate::expand::CommTally;
 use crate::pipeline::{self, Live, Pipeline, Role, Stage, Tally, Unit, Worker};
 use crate::record::TagMap;
 use crate::relational;
@@ -127,9 +79,9 @@ use gopt_gir::physical::{PhysicalNodeId, PhysicalOp, PhysicalPlan};
 use gopt_graph::{GraphView, PartitionMap, PartitionedGraph, VertexId};
 use parking_lot::{Condvar, Mutex};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Worker pool
@@ -440,127 +392,13 @@ impl std::fmt::Debug for MorselPool {
     }
 }
 
-/// Map `f` over `0..count` on the pool, collecting results in index order.
-/// The first panicking task aborts the phase and its payload is returned
-/// (see [`WorkerPool::run_phase`]); the pool stays reusable either way.
-fn par_map<T, F>(
-    pool: &WorkerPool,
-    count: usize,
-    f: F,
-) -> Result<Vec<T>, Box<dyn std::any::Any + Send>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if count == 0 {
-        return Ok(Vec::new());
-    }
-    let mut results: Vec<Option<T>> = Vec::with_capacity(count);
-    results.resize_with(count, || None);
-    struct Slots<T>(*mut Option<T>);
-    // SAFETY: each task writes exactly its own (disjoint) index; the pool's
-    // lock hand-off sequences the writes before the reads below.
-    unsafe impl<T: Send> Sync for Slots<T> {}
-    let slots = Slots(results.as_mut_ptr());
-    let slots_ref = &slots;
-    pool.run_phase(count, &move |i| {
-        let v = f(i);
-        unsafe { *slots_ref.0.add(i) = Some(v) };
-    })?;
-    Ok(results
-        .into_iter()
-        .map(|o| o.expect("phase completed every index"))
-        .collect())
-}
-
-/// [`par_map`] with panic payloads mapped to the typed error of operator
-/// `op`: cooperative [`context::TaskAbort`]s (limit hits, injected morsel
-/// faults) keep their identity, while a genuine task panic becomes
-/// [`ExecError::WorkerPanicked`] — failing this query only, never the pool.
-fn par_map_op<T, F>(
-    pool: &WorkerPool,
-    count: usize,
-    op: &'static str,
-    f: F,
-) -> Result<Vec<T>, ExecError>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map(pool, count, f).map_err(|payload| context::map_panic(payload, op))
-}
-
-// ---------------------------------------------------------------------------
-// Exchange configuration
-// ---------------------------------------------------------------------------
-
-/// Default bounded-channel capacity (routed morsels in flight) of the
-/// pipelined exchange; override per engine with
-/// [`ParallelEngine::with_exchange_capacity`] or process-wide with the
-/// `GOPT_EXCHANGE_CAP` environment variable.
-pub const DEFAULT_EXCHANGE_CAP: usize = 8;
-
-/// How an expand operator schedules its partition exchange — see the
-/// [module docs](self#pipelined-exchange-and-backpressure). Both modes
-/// produce bit-identical rows, row order and communication stats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExchangeMode {
-    /// Route every morsel first, materializing all splits, then expand —
-    /// the synchronous-barrier baseline.
-    Barrier,
-    /// Stream routed splits through a bounded channel with backpressure:
-    /// expansion starts while routing still produces, and producers block
-    /// (in short context-checked waits, or by helping drain) when the
-    /// channel is full.
-    #[default]
-    Pipelined,
-}
-
-/// Number of consecutive input morsels one route unit coalesces into a
-/// single window split: one channel message and at most one gathered
-/// sub-batch per destination partition per window, instead of one split per
-/// (morsel × partition). With one partition nothing is ever gathered, so
-/// windows degenerate to single morsels there.
-pub(crate) const EXCHANGE_WINDOW: usize = 4;
-
-/// Parse `GOPT_EXCHANGE_CAP`: unset → the default; set → a positive integer
-/// or a typed configuration error (surfaced as [`ExecError::Config`] on the
-/// first execute — never a silent fallback).
-pub(crate) fn exchange_cap_from_env() -> Result<usize, String> {
-    match std::env::var("GOPT_EXCHANGE_CAP") {
-        Err(_) => Ok(DEFAULT_EXCHANGE_CAP),
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(c) if c >= 1 => Ok(c),
-            _ => Err(format!(
-                "GOPT_EXCHANGE_CAP must be a positive integer, got {:?}",
-                v.trim()
-            )),
-        },
-    }
-}
-
-/// Parse `GOPT_EXCHANGE_MODE`: unset → pipelined (the default); set →
-/// `barrier`/`pipelined` or a typed configuration error.
-pub(crate) fn exchange_mode_from_env() -> Result<ExchangeMode, String> {
-    match std::env::var("GOPT_EXCHANGE_MODE") {
-        Err(_) => Ok(ExchangeMode::default()),
-        Ok(v) => match v.trim() {
-            "barrier" => Ok(ExchangeMode::Barrier),
-            "pipelined" => Ok(ExchangeMode::Pipelined),
-            other => Err(format!(
-                "GOPT_EXCHANGE_MODE must be \"barrier\" or \"pipelined\", got {other:?}"
-            )),
-        },
-    }
-}
-
 /// Bytes attributed to shipping `moved` of `rows` rows out of a payload of
 /// `bytes` total: the payload scaled by the moved fraction. Integer
-/// arithmetic (u128 intermediate) so every thread count and exchange mode
-/// computes the identical value. `moved` may exceed `rows` (PathExpand
-/// counts every partition-crossing hop); the charge scales past the payload
-/// accordingly, matching the traversal model.
-fn ship_bytes(bytes: u64, rows: u64, moved: u64) -> u64 {
+/// arithmetic (u128 intermediate) so every thread count computes the
+/// identical value. `moved` may exceed `rows` (PathExpand counts every
+/// partition-crossing hop); the charge scales past the payload accordingly,
+/// matching the traversal model.
+pub(crate) fn ship_bytes(bytes: u64, rows: u64, moved: u64) -> u64 {
     if rows == 0 || moved == 0 {
         return 0;
     }
@@ -581,68 +419,14 @@ pub(crate) enum Home {
     Coordinator,
 }
 
-/// One materialized output: ordered batches, the tag map, the slots a
-/// reader still names, the rows' current home and the bytes metered for it.
+/// One materialized output: ordered batches, the tag map, the rows' current
+/// home and the bytes metered for it.
 struct NodeOut {
     batches: Vec<RecordBatch>,
     tags: TagMap,
-    live: Vec<bool>,
     home: Home,
     bytes: u64,
 }
-
-/// One window of consecutive morsels split by routing partition for an
-/// expand exchange. Row indices are *flat*: row `r` of the window's morsel
-/// `m` is window row `sum(rows of morsels < m) + r`, so flat order is
-/// exactly the oracle's (morsel, row) order.
-struct WindowSplit<'a> {
-    /// Total input row count across the window's morsels.
-    rows: usize,
-    /// Routing partition per flat window row (-1 = routing vertex unbound;
-    /// the row is dropped, exactly as the kernels would drop it).
-    owner: Vec<i32>,
-    /// Per non-empty partition: (partition, coalesced sub-batch, flat window
-    /// row index of each sub-batch row). A single-morsel window whose rows
-    /// all route to one partition borrows the input morsel instead of
-    /// gathering a copy.
-    subs: Vec<(usize, Cow<'a, RecordBatch>, Vec<u32>)>,
-}
-
-impl WindowSplit<'_> {
-    /// Extra memory this split holds beyond the input morsels: the gathered
-    /// (owned) sub-batches. Borrowed subs alias the input and cost nothing.
-    fn gathered_bytes(&self) -> u64 {
-        self.subs
-            .iter()
-            .map(|(_, sub, _)| match sub {
-                Cow::Owned(b) => b.approx_bytes(),
-                Cow::Borrowed(_) => 0,
-            })
-            .sum()
-    }
-}
-
-/// One window's route outcome: the split plus what the route stage shipped
-/// (rows and their byte share) and the rows a replicated hub adjacency kept
-/// local instead.
-struct RouteOut<'a> {
-    split: WindowSplit<'a>,
-    moved: u64,
-    moved_bytes: u64,
-    route_hits: u64,
-}
-
-/// Result of one expand unit: the merged output batches of one window (in
-/// oracle row order) and the crossings its kernels measured at the expand
-/// boundary (shipped rows and replica-served locality hits).
-struct Expanded {
-    batches: Vec<RecordBatch>,
-    comm: CommTally,
-}
-
-/// One window's exchange outcome: its expanded output plus the rows, bytes
-/// and replica-served hits of its route stage.
-type Routed = (Expanded, u64, u64, u64);
 
 /// Set when a crew member unwinds, so the others stop claiming morsels.
 struct AbortOnUnwind<'a>(&'a AtomicBool);
@@ -667,15 +451,6 @@ pub struct ParallelEngine<'g> {
     record_limit: Option<u64>,
     threads: usize,
     batch_size: usize,
-    /// Bounded-channel capacity of the pipelined exchange (≥ 1).
-    exchange_cap: usize,
-    exchange_mode: ExchangeMode,
-    /// Deferred typed errors from unparseable `GOPT_EXCHANGE_CAP` /
-    /// `GOPT_EXCHANGE_MODE` values, surfaced as [`ExecError::Config`] on the
-    /// first execute. The matching builder overrides the environment and
-    /// clears its error.
-    cap_err: Option<String>,
-    mode_err: Option<String>,
     /// Shared pool injected via [`with_pool`](Self::with_pool); when absent an
     /// owned pool is spawned lazily on the first execute and reused. Either
     /// way the lock is held only to fetch the handle — concurrent
@@ -687,27 +462,13 @@ pub struct ParallelEngine<'g> {
 
 impl<'g> ParallelEngine<'g> {
     /// Create an engine over sharded storage with one thread and the default
-    /// morsel size. Exchange scheduling comes from the environment
-    /// (`GOPT_EXCHANGE_CAP`, `GOPT_EXCHANGE_MODE`) unless overridden with
-    /// the builders below.
+    /// morsel size.
     pub fn new(graph: &'g PartitionedGraph) -> Self {
-        let (exchange_cap, cap_err) = match exchange_cap_from_env() {
-            Ok(c) => (c, None),
-            Err(e) => (DEFAULT_EXCHANGE_CAP, Some(e)),
-        };
-        let (exchange_mode, mode_err) = match exchange_mode_from_env() {
-            Ok(m) => (m, None),
-            Err(e) => (ExchangeMode::default(), Some(e)),
-        };
         ParallelEngine {
             graph,
             record_limit: None,
             threads: 1,
             batch_size: DEFAULT_BATCH_SIZE,
-            exchange_cap,
-            exchange_mode,
-            cap_err,
-            mode_err,
             shared: None,
             owned: Mutex::new(None),
         }
@@ -742,26 +503,6 @@ impl<'g> ParallelEngine<'g> {
         self
     }
 
-    /// Set the pipelined exchange's bounded-channel capacity in routed
-    /// window splits (clamped to at least 1). Smaller capacities bound peak
-    /// exchange memory harder at the cost of more producer waiting.
-    /// Overrides `GOPT_EXCHANGE_CAP` (and clears any pending error from an
-    /// unparseable value of it).
-    pub fn with_exchange_capacity(mut self, cap: usize) -> Self {
-        self.exchange_cap = cap.max(1);
-        self.cap_err = None;
-        self
-    }
-
-    /// Select how expand operators schedule their partition exchange.
-    /// Overrides `GOPT_EXCHANGE_MODE` (and clears any pending error from an
-    /// unparseable value of it).
-    pub fn with_exchange_mode(mut self, mode: ExchangeMode) -> Self {
-        self.exchange_mode = mode;
-        self.mode_err = None;
-        self
-    }
-
     /// The sharded graph being queried.
     pub fn graph(&self) -> &'g PartitionedGraph {
         self.graph
@@ -790,11 +531,6 @@ impl<'g> ParallelEngine<'g> {
         ctx: &QueryContext,
     ) -> Result<ExecResult, ExecError> {
         context::init_failpoints();
-        // a broken environment override is an error the operator must see,
-        // even before plan shape is considered
-        if let Some(msg) = self.cap_err.as_ref().or(self.mode_err.as_ref()) {
-            return Err(ExecError::Config(msg.clone()));
-        }
         if plan.is_empty() {
             return Err(ExecError::EmptyPlan);
         }
@@ -816,7 +552,7 @@ impl<'g> ParallelEngine<'g> {
             ..Default::default()
         };
         let live = pipeline::liveness(plan);
-        let units = pipeline::cut(plan, &live, self.graph.partitions() > 1);
+        let units = pipeline::cut(plan, &live);
         // units still to read each materialized output
         let mut readers = vec![0usize; plan.len()];
         for i in units.iter().flat_map(|u| u.reads(plan)) {
@@ -828,8 +564,8 @@ impl<'g> ParallelEngine<'g> {
             // every plan node passes its checkpoint and the operator fail
             // point once, in topological order, before the unit that fuses
             // it runs. The unwind boundaries confine a `panic` fail-point
-            // action (operator, exchange or merge points on the driving
-            // thread) to this query, like a worker panic.
+            // action (operator or merge points on the driving thread) to
+            // this query, like a worker panic.
             for id in unit.nodes() {
                 ctx.check().map_err(ExecError::LimitExceeded)?;
                 let name = op_name(plan.op(id));
@@ -860,10 +596,6 @@ impl<'g> ParallelEngine<'g> {
         stats.elapsed_micros = start.elapsed().as_micros();
         Ok(ExecResult::new(batches, tags, stats))
     }
-    #[inline]
-    fn part(&self, v: VertexId) -> usize {
-        self.graph.partition_of(v)
-    }
 
     /// The graph's placement oracle, in the form the expansion kernels take.
     #[inline]
@@ -879,7 +611,7 @@ impl<'g> ParallelEngine<'g> {
             Home::Tag(slot) => batch
                 .entry(slot, row)
                 .as_vertex()
-                .map(|v| self.part(v))
+                .map(|v| self.graph.partition_of(v))
                 .unwrap_or(0),
         }
     }
@@ -910,386 +642,77 @@ impl<'g> ParallelEngine<'g> {
         stats.comm_bytes += bytes;
     }
 
-    /// Route unit of the exchange: split one window of consecutive morsels
-    /// by the partition owning the vertex at `route_slot` (consulting the
-    /// shared [`PartitionMap`]), coalescing the whole window's routed rows
-    /// into one sub-batch per destination partition, and measuring the
-    /// (rows, bytes) that had to move from their current home. A row whose
-    /// routing vertex is a replicated hub and whose expansion reads the
-    /// `Out` adjacency needs no move at all — every shard holds that
-    /// adjacency — so it counts as a locality hit instead of a shipped row.
-    fn split_window<'a>(
+    /// `batch` enters an expand that reads the `dir` adjacency of the vertex
+    /// at `slot`, from rows homed at `home` — where a multi-process
+    /// deployment would route it to the shards owning those vertices. Fires
+    /// `exec.exchange` and returns what that route ships: the rows not
+    /// already on the owning shard (and their byte share), except that a
+    /// replicated hub read in the `Out` direction serves its row locally, as
+    /// a locality hit. `None` with one partition, where nothing is routed.
+    pub(crate) fn route(
         &self,
-        window: &'a [RecordBatch],
-        live: &[bool],
-        route_slot: usize,
+        batch: &RecordBatch,
+        (slot, dir): (usize, Direction),
         home: Home,
-        aligned: bool,
-        route_dir: Direction,
-    ) -> RouteOut<'a> {
-        let p = self.graph.partitions();
+    ) -> Option<(CommTally, u64)> {
+        if self.graph.partitions() <= 1 {
+            return None;
+        }
+        context::task_failpoint(context::FP_EXCHANGE);
         let pm = self.graph.partition_map();
-        let hubs_serve = route_dir == Direction::Out;
-        let rows: usize = window.iter().map(RecordBatch::rows).sum();
-        let mut owner = vec![-1i32; rows];
-        let mut sels: Vec<Vec<u32>> = vec![Vec::new(); p];
-        let mut moved = 0u64;
-        let mut moved_bytes = 0u64;
-        let mut route_hits = 0u64;
-        // flat start offset of each morsel within the window (+ end sentinel)
-        let mut starts = Vec::with_capacity(window.len() + 1);
-        let mut base = 0usize;
-        for batch in window {
-            starts.push(base);
-            let mut batch_moved = 0u64;
+        let mut comm = CommTally::default();
+        // rows homed by the routing vertex already sit on its owner
+        if home != Home::Tag(slot) {
             for row in 0..batch.rows() {
-                let Some(v) = batch.entry(route_slot, row).as_vertex() else {
+                let Some(v) = batch.entry(slot, row).as_vertex() else {
                     continue;
                 };
-                let dest = pm.partition_of(v);
-                owner[base + row] = dest as i32;
-                if !aligned && self.row_home(batch, row, home) != dest {
-                    if hubs_serve && pm.is_hub(v) {
-                        route_hits += 1;
-                    } else {
-                        batch_moved += 1;
-                    }
+                if self.row_home(batch, row, home) == pm.partition_of(v) {
+                    continue;
                 }
-                sels[dest].push((base + row) as u32);
-            }
-            moved += batch_moved;
-            moved_bytes += ship_bytes(batch.approx_bytes(), batch.rows() as u64, batch_moved);
-            base += batch.rows();
-        }
-        starts.push(base);
-        let subs = sels
-            .into_iter()
-            .enumerate()
-            .filter(|(_, sel)| !sel.is_empty())
-            .map(|(part, sel)| {
-                let sub = if let [batch] = window {
-                    // single-morsel window: columnar gather, borrowing when
-                    // every row routes to this one partition
-                    if sel.len() == batch.rows() {
-                        Cow::Borrowed(batch)
-                    } else {
-                        Cow::Owned(batch.gather_live(&sel, live))
-                    }
+                if dir == Direction::Out && pm.is_hub(v) {
+                    comm.local_hits += 1;
                 } else {
-                    // coalesce the window's rows for this destination into
-                    // one batch, in flat (= oracle) order
-                    let mut builder = BatchBuilder::with_live(live, usize::MAX);
-                    let mut mi = 0usize;
-                    for &flat in &sel {
-                        let f = flat as usize;
-                        while f >= starts[mi + 1] {
-                            mi += 1;
-                        }
-                        builder.push_row_from(&window[mi], f - starts[mi], &[]);
-                    }
-                    let mut out = builder.finish();
-                    debug_assert_eq!(out.len(), 1, "uncapped builder yields one batch");
-                    Cow::Owned(out.pop().expect("sel is non-empty"))
-                };
-                (part, sub, sel)
-            })
-            .collect();
-        RouteOut {
-            split: WindowSplit { rows, owner, subs },
-            moved,
-            moved_bytes,
-            route_hits,
+                    comm.shipped += 1;
+                }
+            }
         }
+        let bytes = ship_bytes(batch.approx_bytes(), batch.rows() as u64, comm.shipped);
+        Some((comm, bytes))
     }
 
-    /// The full exchange of one expand operator: cut the input into windows
-    /// of up to [`EXCHANGE_WINDOW`] consecutive morsels, route every window
-    /// to its partitions and run `expand_one` (kernels + oracle-order merge)
-    /// over each split, per the engine's [`ExchangeMode`]. Outputs come back
-    /// concatenated in window order; all communication stats are accumulated
-    /// here, per window in window order, so both modes charge identically.
-    /// `route_dir` is the adjacency direction the operator reads from the
-    /// routing vertex — it decides whether hub replicas can serve the row
-    /// locally.
-    #[allow(clippy::too_many_arguments)]
-    fn exchange_expand<'a, F>(
+    /// An intersection's outputs (input row `sel[j]`, target `dst[j]`) whose
+    /// target lives off the shard owning the routing vertex at `slot`: each
+    /// ships there, unless the target is a replicated hub whose adjacency
+    /// the routing shard already holds.
+    pub(crate) fn target_comm(
         &self,
-        pool: &WorkerPool,
-        ctx: &QueryContext,
-        op: &'static str,
-        input: &'a NodeOut,
-        route_slot: usize,
-        route_dir: Direction,
-        stats: &mut ExecStats,
-        expand_one: F,
-    ) -> Result<Vec<RecordBatch>, ExecError>
-    where
-        F: Fn(&WindowSplit<'a>) -> Expanded + Sync,
-    {
-        let (batches, home) = (&input.batches, input.home);
-        if batches.is_empty() {
-            // preserve the per-operator exchange fail point even when there
-            // is nothing to route
-            failpoint::check(context::FP_EXCHANGE).map_err(context::injected)?;
-            return Ok(Vec::new());
-        }
-        let windows: Vec<&'a [RecordBatch]> = batches.chunks(EXCHANGE_WINDOW).collect();
-        let n = windows.len();
-        let aligned = home == Home::Tag(route_slot);
-        // One route unit per window: context checkpoint, exchange fail
-        // point, then the split. Fires inside pooled tasks, so faults and
-        // limit hits unwind as TaskAborts and are mapped back to typed
-        // errors per mode.
-        let route_unit = |wi: usize| -> RouteOut<'a> {
-            context::worker_checkpoint(ctx);
-            if let Err(f) = failpoint::check(context::FP_EXCHANGE) {
-                std::panic::panic_any(context::TaskAbort::Injected {
-                    point: f.point,
-                    msg: f.msg,
-                });
-            }
-            self.split_window(
-                windows[wi],
-                &input.live,
-                route_slot,
-                home,
-                aligned,
-                route_dir,
-            )
-        };
-        let (per_wi, peak) = match self.exchange_mode {
-            ExchangeMode::Barrier => {
-                // synchronous barrier: materialize EVERY routed split, then
-                // expand — the baseline the pipelined mode is measured against
-                let routed: Vec<RouteOut<'a>> = par_map_op(pool, n, op, route_unit)?;
-                let resident: u64 = routed.iter().map(|r| r.split.gathered_bytes()).sum();
-                let expanded: Vec<Expanded> =
-                    par_map_op(pool, n, op, |wi| expand_one(&routed[wi].split))?;
-                let per_wi = expanded
-                    .into_iter()
-                    .zip(&routed)
-                    .map(|(e, r)| (e, r.moved, r.moved_bytes, r.route_hits))
-                    .collect();
-                (per_wi, resident)
-            }
-            ExchangeMode::Pipelined => {
-                self.exchange_pipelined(pool, ctx, op, n, &route_unit, &expand_one)?
-            }
-        };
-        stats.exchange_peak_bytes = stats.exchange_peak_bytes.max(peak);
-        let mut out = Vec::new();
-        for (e, moved, moved_bytes, route_hits) in per_wi {
-            stats.comm_records += moved + e.comm.shipped;
-            stats.locality_hits += route_hits + e.comm.local_hits;
-            let out_rows = batch::total_rows(&e.batches) as u64;
-            let out_bytes: u64 = e.batches.iter().map(RecordBatch::approx_bytes).sum();
-            stats.comm_bytes += moved_bytes + ship_bytes(out_bytes, out_rows, e.comm.shipped);
-            out.extend(e.batches);
-        }
-        Ok(out)
-    }
-
-    /// Pipelined exchange: a cooperative crew of identical workers connected
-    /// by one bounded channel of routed splits. Every worker prefers draining
-    /// the channel (expand), otherwise claims the next morsel to route and
-    /// forwards the split with backpressure: on a full channel it helps by
-    /// expanding one queued split itself, or parks briefly and re-checks the
-    /// query context — bounded waits only, so cancellation/deadlines/fail
-    /// points fire while blocked and no wakeup can be lost. Any single
-    /// worker can drain the whole pipeline, so the stage cannot deadlock at
-    /// any capacity or thread count.
-    ///
-    /// Returns per-window `(Expanded, moved, moved_bytes, route_hits)` in
-    /// window order plus the peak resident gathered bytes (splits queued,
-    /// held by blocked routers, or being expanded).
-    fn exchange_pipelined<'a, R, F>(
-        &self,
-        pool: &WorkerPool,
-        ctx: &QueryContext,
-        op: &'static str,
-        n: usize,
-        route_unit: &R,
-        expand_one: &F,
-    ) -> Result<(Vec<Routed>, u64), ExecError>
-    where
-        R: Fn(usize) -> RouteOut<'a> + Sync,
-        F: Fn(&WindowSplit<'a>) -> Expanded + Sync,
-    {
-        type Item<'a> = (usize, RouteOut<'a>);
-        let (tx, rx) = crossbeam_channel::bounded::<Item<'a>>(self.exchange_cap);
-        let next_route = AtomicUsize::new(0);
-        let completed = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let error: Mutex<Option<ExecError>> = Mutex::new(None);
-        let queued_bytes = AtomicU64::new(0);
-        let peak_bytes = AtomicU64::new(0);
-        let mut results: Vec<Option<Routed>> = Vec::with_capacity(n);
-        results.resize_with(n, || None);
-        struct Slots<T>(*mut Option<T>);
-        // SAFETY: each window index is expanded (and written) exactly once;
-        // the phase barrier in run_phase sequences writes before the reads.
-        unsafe impl<T: Send> Sync for Slots<T> {}
-        let slots = Slots(results.as_mut_ptr());
-        let slots = &slots;
-
-        let fail = |e: ExecError| {
-            let mut g = error.lock();
-            if g.is_none() {
-                *g = Some(e);
-            }
-            failed.store(true, Ordering::Release);
-        };
-        // expand one routed split; false aborts the calling worker
-        let do_expand = |(wi, routed): Item<'a>| -> bool {
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                expand_one(&routed.split)
-            }));
-            match out {
-                Ok(e) => {
-                    queued_bytes.fetch_sub(routed.split.gathered_bytes(), Ordering::Relaxed);
-                    unsafe {
-                        *slots.0.add(wi) =
-                            Some((e, routed.moved, routed.moved_bytes, routed.route_hits))
-                    };
-                    completed.fetch_add(1, Ordering::Release);
-                    true
-                }
-                Err(payload) => {
-                    fail(context::map_panic(payload, op));
-                    false
-                }
-            }
-        };
-        let worker = |_wi: usize| {
-            loop {
-                if failed.load(Ordering::Acquire) {
-                    return;
-                }
-                // prefer consuming: keeps the channel short and the merge fed
-                if let Ok(item) = rx.try_recv() {
-                    if !do_expand(item) {
-                        return;
-                    }
-                    continue;
-                }
-                let wi = next_route.fetch_add(1, Ordering::Relaxed);
-                if wi < n {
-                    let routed =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route_unit(wi)));
-                    let routed = match routed {
-                        Ok(r) => r,
-                        Err(payload) => {
-                            fail(context::map_panic(payload, op));
-                            return;
-                        }
-                    };
-                    let bytes = routed.split.gathered_bytes();
-                    let resident = queued_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-                    peak_bytes.fetch_max(resident, Ordering::Relaxed);
-                    // backpressure loop: never an unbounded block
-                    let mut item = (wi, routed);
-                    loop {
-                        if failed.load(Ordering::Acquire) {
-                            return;
-                        }
-                        match tx.try_send(item) {
-                            Ok(()) => break,
-                            Err(crossbeam_channel::TrySendError::Full(back)) => {
-                                item = back;
-                                // help drain the queue we are blocked on
-                                if let Ok(other) = rx.try_recv() {
-                                    if !do_expand(other) {
-                                        return;
-                                    }
-                                } else if let Err(reason) = ctx.check() {
-                                    fail(ExecError::LimitExceeded(reason));
-                                    return;
-                                } else {
-                                    std::thread::sleep(Duration::from_micros(100));
-                                }
-                            }
-                            Err(crossbeam_channel::TrySendError::Disconnected(_)) => return,
-                        }
-                    }
-                    continue;
-                }
-                // routing exhausted: drain stragglers until everything landed
-                if completed.load(Ordering::Acquire) >= n {
-                    return;
-                }
-                match rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok(item) => {
-                        if !do_expand(item) {
-                            return;
-                        }
-                    }
-                    Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                        if let Err(reason) = ctx.check() {
-                            fail(ExecError::LimitExceeded(reason));
-                            return;
-                        }
-                    }
-                    Err(crossbeam_channel::RecvTimeoutError::Disconnected) => return,
-                }
-            }
-        };
-        // one cooperative worker per available thread (capped at the window
-        // count); the submitting thread is always one of them
-        let crew = (pool.workers() + 1).min(n);
-        pool.run_phase(crew, &worker)
-            .map_err(|payload| context::map_panic(payload, op))?;
-        drop(tx);
-        drop(rx);
-        if let Some(e) = error.lock().take() {
-            return Err(e);
-        }
-        let per_mi = results
-            .into_iter()
-            .map(|r| r.expect("pipeline expanded every window"))
-            .collect();
-        Ok((per_mi, peak_bytes.load(Ordering::Relaxed)))
-    }
-
-    /// Deterministic per-window merge after a partition-split expansion:
-    /// original flat input-row order (= oracle (morsel, row) order), with
-    /// each row's outputs taken (in kernel emission order) from the
-    /// sub-batch of the partition owning the row. `sels[si]` is the kernel's
-    /// selection vector over sub-batch `si`; `push(b, si, j)` appends output
-    /// `j` of that kernel. Only `live` slots are copied.
-    fn merge_window(
-        &self,
-        split: &WindowSplit<'_>,
-        sels: &[&[u32]],
-        live: &[bool],
-        push: impl Fn(&mut BatchBuilder, usize, usize),
-    ) -> Vec<RecordBatch> {
-        let p = self.graph.partitions();
-        let mut sub_of_part = vec![usize::MAX; p];
-        for (si, (part, _, _)) in split.subs.iter().enumerate() {
-            sub_of_part[*part] = si;
-        }
-        let mut builder = BatchBuilder::with_live(live, self.batch_size);
-        let mut cursors = vec![0usize; split.subs.len()];
-        for row in 0..split.rows {
-            let part = split.owner[row];
-            if part < 0 {
+        batch: &RecordBatch,
+        slot: usize,
+        sel: &[u32],
+        dst: &[VertexId],
+    ) -> CommTally {
+        let pm = self.graph.partition_map();
+        let mut comm = CommTally::default();
+        for (&row, &d) in sel.iter().zip(dst) {
+            let Some(src) = batch.entry(slot, row as usize).as_vertex() else {
+                continue;
+            };
+            if pm.partition_of(d) == pm.partition_of(src) {
                 continue;
             }
-            let si = sub_of_part[part as usize];
-            let origs = &split.subs[si].2;
-            let sel = sels[si];
-            let cur = &mut cursors[si];
-            while *cur < sel.len() && origs[sel[*cur] as usize] as usize == row {
-                push(&mut builder, si, *cur);
-                *cur += 1;
+            if pm.is_hub(d) {
+                comm.local_hits += 1;
+            } else {
+                comm.shipped += 1;
             }
         }
-        builder.finish()
+        comm
     }
 
     /// The live slots of an output with tags `tags`: what its readers name,
-    /// plus — when expands exchange rows — the slot the rows are homed by,
-    /// which routing and gather accounting read.
+    /// plus — with more than one partition — the slot the rows are homed by,
+    /// which route and gather accounting read.
     fn out_mask(&self, live: &Live, tags: &TagMap, home: Home) -> Vec<bool> {
         let mut mask = pipeline::mask(live, tags);
         if let (Home::Tag(slot), true) = (home, self.graph.partitions() > 1) {
@@ -1313,8 +736,7 @@ impl<'g> ParallelEngine<'g> {
     ) -> Result<NodeOut, ExecError> {
         let op = plan.op(unit.out);
         let live_out = &live[unit.out.0];
-        let exchange = self.graph.partitions() > 1;
-        let mut out = if pipeline::role(op, live_out, exchange) != Role::Transform {
+        let mut out = if pipeline::role(op, live_out) != Role::Transform {
             self.run_pipeline(pool, ctx, plan, unit, live, outputs, stats)?
         } else {
             let inputs: Vec<&NodeOut> = plan
@@ -1377,20 +799,9 @@ impl<'g> ParallelEngine<'g> {
                     )?;
                     (batches, tags, inputs[0].home)
                 }
-                expand => {
-                    arity(1, inputs.len() == 1)?;
-                    let mut tags = inputs[0].tags.clone();
-                    let mut home = inputs[0].home;
-                    let stage = Stage::compile(self.graph, expand, &mut tags, &mut home)?;
-                    let mask = self.out_mask(live_out, &tags, home);
-                    let name = op_name(expand);
-                    let batches =
-                        self.run_expand(pool, ctx, name, inputs[0], &stage, &mask, stats)?;
-                    (batches, tags, home)
-                }
+                other => unreachable!("{} is not a transform", other.name()),
             };
             NodeOut {
-                live: self.out_mask(live_out, &tags, home),
                 batches,
                 tags,
                 home,
@@ -1528,114 +939,11 @@ impl<'g> ParallelEngine<'g> {
             home = Home::Coordinator;
         }
         Ok(NodeOut {
-            live: self.out_mask(&live[unit.out.0], &tags, home),
             batches,
             tags,
             home,
             bytes: 0,
         })
-    }
-
-    /// An expand as a partition exchange over a materialized input: route
-    /// each window of morsels to the partitions owning the routing vertices,
-    /// run the kernel per partition, merge the oracle row order back.
-    #[allow(clippy::too_many_arguments)]
-    fn run_expand(
-        &self,
-        pool: &WorkerPool,
-        ctx: &QueryContext,
-        op: &'static str,
-        input: &NodeOut,
-        stage: &Stage<'_>,
-        live: &[bool],
-        stats: &mut ExecStats,
-    ) -> Result<Vec<RecordBatch>, ExecError> {
-        let pm = self.graph.partition_map();
-        match stage {
-            Stage::Expand(kernel) => {
-                let (route_slot, route_dir) = kernel.route();
-                self.exchange_expand(
-                    pool,
-                    ctx,
-                    op,
-                    input,
-                    route_slot,
-                    route_dir,
-                    stats,
-                    |split| {
-                        let mut kouts: Vec<KernelScratch> = Vec::with_capacity(split.subs.len());
-                        let mut comm = CommTally::default();
-                        for (part, sub, _) in &split.subs {
-                            context::worker_checkpoint(ctx);
-                            let mut s = KernelScratch::default();
-                            comm += kernel.run(self.graph, sub, self.pmap(), &mut s);
-                            // an intersection's outputs are routed to the target
-                            // vertex's partition — unless the target is a
-                            // replicated hub, whose adjacency the local shard
-                            // already holds
-                            if matches!(kernel, ExpandKernel::Intersect(_)) {
-                                for &d in s.dst.iter().filter(|d| pm.partition_of(**d) != *part) {
-                                    if pm.is_hub(d) {
-                                        comm.local_hits += 1;
-                                    } else {
-                                        comm.shipped += 1;
-                                    }
-                                }
-                            }
-                            kouts.push(s);
-                        }
-                        // fast path: every routed row of this window lives on one
-                        // shard, so kernel emission order IS the oracle order —
-                        // gather columns instead of copying row by row
-                        let batches = if let ([(_, sub, _)], [s]) = (&split.subs[..], &kouts[..]) {
-                            kernel.emit(sub, s, live, self.batch_size).collect()
-                        } else {
-                            let sels: Vec<&[u32]> =
-                                kouts.iter().map(|s| s.sel.as_slice()).collect();
-                            self.merge_window(split, &sels, live, |builder, si, j| {
-                                let s = &kouts[si];
-                                let mut overrides = [(usize::MAX, EntryRef::Null); 2];
-                                if let Some(slot) = kernel.dst_slot() {
-                                    overrides[0] = (slot, EntryRef::Vertex(s.dst[j]));
-                                }
-                                if let Some(slot) = kernel.edge_slot() {
-                                    overrides[1] = (slot, EntryRef::Edge(s.edge[j]));
-                                }
-                                builder.push_row_from(
-                                    &split.subs[si].1,
-                                    s.sel[j] as usize,
-                                    &overrides,
-                                );
-                            })
-                        };
-                        Expanded { batches, comm }
-                    },
-                )
-            }
-            Stage::Path(k) => {
-                let (slot, dir) = (k.src_slot, k.direction);
-                self.exchange_expand(pool, ctx, op, input, slot, dir, stats, |split| {
-                    // per sub-batch: fully materialised output rows (one
-                    // oversized batch) plus the producing sub-row per output
-                    // row, which the merge orders them by
-                    let mut comm = CommTally::default();
-                    let mut kouts = Vec::with_capacity(split.subs.len());
-                    for (_, sub, _) in &split.subs {
-                        context::worker_checkpoint(ctx);
-                        let (out, origins, crossed) =
-                            k.run(self.graph, sub, self.pmap(), live, usize::MAX);
-                        comm += crossed;
-                        kouts.push((out, origins));
-                    }
-                    let sels: Vec<&[u32]> = kouts.iter().map(|k| k.1.as_slice()).collect();
-                    let batches = self.merge_window(split, &sels, live, |builder, si, j| {
-                        builder.push_row_from(&kouts[si].0[0], j, &[]);
-                    });
-                    Expanded { batches, comm }
-                })
-            }
-            _ => unreachable!("{op} does not exchange"),
-        }
     }
 }
 
@@ -1716,84 +1024,39 @@ mod tests {
                         oracle.stats.intermediate_records
                     );
                     assert_eq!(res.stats.peak_records, oracle.stats.peak_records);
+                    assert_eq!(res.stats.exchange_peak_bytes, 0, "nothing is buffered");
                     if bs == 1024 {
-                        comm_per_thread.push(res.stats.comm_records);
+                        let s = &res.stats;
+                        comm_per_thread.push((s.comm_records, s.comm_bytes, s.locality_hits));
                     }
                 }
             }
+            // every communication counter is a pure function of data and
+            // placement: identical across thread counts
             assert!(
                 comm_per_thread.windows(2).all(|w| w[0] == w[1]),
                 "comm stable across threads: {comm_per_thread:?}"
             );
+            let (records, bytes, _) = comm_per_thread[0];
             if parts == 1 {
-                assert_eq!(comm_per_thread[0], 0, "single partition ships nothing");
+                assert_eq!((records, bytes), (0, 0), "single partition ships nothing");
             } else {
-                assert!(comm_per_thread[0] > 0, "p={parts} measured shuffles");
+                assert!(records > 0 && bytes > 0, "p={parts} measured shuffles");
             }
         }
     }
 
     #[test]
-    fn exchange_modes_and_capacities_agree_with_the_oracle() {
-        let g = graph();
-        let plan = chain_plan(&g);
-        let oracle = Engine::new(&g, EngineConfig::default())
-            .execute(&plan)
-            .unwrap();
-        for parts in [1usize, 4] {
-            let pg = PartitionedGraph::build(&g, parts);
-            let base = ParallelEngine::new(&pg)
-                .with_exchange_mode(ExchangeMode::Barrier)
-                .execute(&plan)
-                .unwrap();
-            let mut comm_bytes_seen = Vec::new();
-            for mode in [ExchangeMode::Pipelined, ExchangeMode::Barrier] {
-                for cap in [1usize, 2, 8] {
-                    for threads in [1usize, 4] {
-                        let res = ParallelEngine::new(&pg)
-                            .with_threads(threads)
-                            .with_batch_size(3)
-                            .with_exchange_mode(mode)
-                            .with_exchange_capacity(cap)
-                            .execute(&plan)
-                            .unwrap();
-                        assert_eq!(
-                            res.rows(),
-                            oracle.rows(),
-                            "p={parts} {mode:?} cap={cap} t={threads}"
-                        );
-                        assert_eq!(res.stats.comm_records, base.stats.comm_records);
-                        comm_bytes_seen.push(res.stats.comm_bytes);
-                    }
-                }
-            }
-            // comm_bytes is a pure function of data + partitioner: identical
-            // across modes, capacities and thread counts; zero at p=1
-            assert!(
-                comm_bytes_seen.windows(2).all(|w| w[0] == w[1]),
-                "p={parts} comm_bytes invariant: {comm_bytes_seen:?}"
-            );
-            if parts == 1 {
-                assert_eq!(comm_bytes_seen[0], 0, "one partition ships no bytes");
-            } else {
-                assert!(comm_bytes_seen[0] > 0, "p={parts} measured shipped bytes");
-            }
-        }
-    }
-
-    #[test]
-    fn precancelled_context_fails_cleanly_at_capacity_one() {
-        // regression for the backpressure path: a context that is cancelled
-        // before execution must surface Cancelled (not deadlock or return
-        // partial rows) even with the tightest possible channel
+    fn precancelled_context_fails_cleanly() {
+        // a context cancelled before execution must surface Cancelled (not
+        // partial rows) at every thread count on a partitioned graph
         let g = graph();
         let plan = chain_plan(&g);
         let pg = PartitionedGraph::build(&g, 4);
         for threads in [1usize, 4] {
             let engine = ParallelEngine::new(&pg)
                 .with_threads(threads)
-                .with_batch_size(3)
-                .with_exchange_capacity(1);
+                .with_batch_size(3);
             let ctx = QueryContext::new();
             ctx.cancel();
             match engine.execute_with_ctx(&plan, &ctx) {
@@ -1826,10 +1089,29 @@ mod tests {
         ));
     }
 
+    /// Run `f` over `0..count` as one phase, returning its results in index
+    /// order and how often each index ran.
+    fn phase<F>(
+        pool: &WorkerPool,
+        count: usize,
+        f: F,
+    ) -> Result<(Vec<usize>, Vec<usize>), Box<dyn std::any::Any + Send>>
+    where
+        F: Fn(usize) -> usize + Sync,
+    {
+        let slots: Vec<Mutex<(usize, usize)>> = (0..count).map(|_| Mutex::new((0, 0))).collect();
+        pool.run_phase(count, &|i| {
+            let v = f(i);
+            let mut slot = slots[i].lock();
+            *slot = (v, slot.1 + 1);
+        })?;
+        Ok(slots.into_iter().map(Mutex::into_inner).unzip())
+    }
+
     #[test]
     fn pool_task_panic_propagates_instead_of_deadlocking() {
         let pool = WorkerPool::new(2);
-        let result = par_map(&pool, 16, |i| {
+        let result = phase(&pool, 16, |i| {
             if i == 7 {
                 panic!("boom");
             }
@@ -1837,20 +1119,34 @@ mod tests {
         });
         assert!(result.is_err(), "the task panic reaches the caller");
         // the pool survives and runs subsequent phases normally
-        let ok = par_map(&pool, 8, |i| i + 1).unwrap();
+        let (ok, _) = phase(&pool, 8, |i| i + 1).unwrap();
         assert_eq!(ok, (1..=8).collect::<Vec<_>>());
     }
 
     #[test]
     fn pool_runs_every_index_exactly_once() {
-        let pool = WorkerPool::new(3);
-        for n in [0usize, 1, 7, 257] {
-            let got = par_map(&pool, n, |i| i * 2).unwrap();
-            assert_eq!(got, (0..n).map(|i| i * 2).collect::<Vec<_>>());
+        for workers in [0usize, 3] {
+            let pool = WorkerPool::new(workers);
+            for n in [0usize, 1, 7, 257] {
+                let (got, runs) = phase(&pool, n, |i| i * 2).unwrap();
+                assert_eq!(got, (0..n).map(|i| i * 2).collect::<Vec<_>>());
+                assert!(runs.iter().all(|&r| r == 1), "w={workers} n={n}: {runs:?}");
+            }
+            // several phases reuse the same workers
+            let (got, _) = phase(&pool, 100, |i| i).unwrap();
+            assert_eq!(got.into_iter().sum::<usize>(), 4950);
         }
-        // several phases reuse the same workers
-        let sum: usize = par_map(&pool, 100, |i| i).unwrap().into_iter().sum();
-        assert_eq!(sum, 4950);
+        // zero workers: every task runs inline on the submitting thread
+        let caller = std::thread::current().id();
+        let pool = WorkerPool::new(0);
+        let inline = AtomicUsize::new(0);
+        pool.run_phase(64, &|_| {
+            if std::thread::current().id() == caller {
+                inline.fetch_add(1, Ordering::Relaxed);
+            }
+        })
+        .unwrap();
+        assert_eq!(inline.into_inner(), 64);
     }
 
     #[test]
@@ -1865,13 +1161,14 @@ mod tests {
             let pool = Arc::clone(&pool);
             let gate = Arc::clone(&gate);
             joins.push(std::thread::spawn(move || {
-                par_map(&pool, 64, |i| {
+                phase(&pool, 64, |i| {
                     if i == 0 {
                         gate.wait();
                     }
                     i * 10 + caller
                 })
                 .unwrap()
+                .0
             }));
         }
         for (caller, j) in joins.into_iter().enumerate() {
@@ -1888,7 +1185,7 @@ mod tests {
             let pool = Arc::clone(&pool);
             let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
-                par_map(&pool, 32, |i| {
+                phase(&pool, 32, |i| {
                     if i == 0 {
                         gate.wait();
                     }
@@ -1897,25 +1194,28 @@ mod tests {
                     }
                     i
                 })
+                .is_err()
             })
         };
         let good = {
             let pool = Arc::clone(&pool);
             let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
-                par_map(&pool, 200, |i| {
+                phase(&pool, 200, |i| {
                     if i == 0 {
                         gate.wait();
                     }
                     i + 1
                 })
+                .map(|(got, _)| got)
+                .ok()
             })
         };
-        assert!(bad.join().unwrap().is_err(), "the panic reaches its caller");
-        let ok = good.join().unwrap().unwrap();
+        assert!(bad.join().unwrap(), "the panic reaches its caller");
+        let ok = good.join().unwrap().expect("bystander phase succeeds");
         assert_eq!(ok, (1..=200).collect::<Vec<_>>(), "bystander unharmed");
         // the pool survives both
-        assert_eq!(par_map(&pool, 4, |i| i).unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(phase(&pool, 4, |i| i).unwrap().0, vec![0, 1, 2, 3]);
     }
 
     #[test]

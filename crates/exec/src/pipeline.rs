@@ -18,12 +18,12 @@
 //! expressions read properties from the graph's typed columns, not from
 //! fetched ones.
 
-use crate::batch::{BatchBuilder, BatchRow, Column, CompiledExpr, EntryRef, RecordBatch};
+use crate::batch::{self, BatchBuilder, BatchRow, Column, CompiledExpr, EntryRef, RecordBatch};
 use crate::context::{self, QueryContext, TaskAbort};
 use crate::error::{ExecError, LimitReason};
 use crate::expand::{self, CommTally, ExpandKernel, KernelScratch};
 use crate::kernel::{self, TypedPred};
-use crate::parallel::{Home, ParallelEngine};
+use crate::parallel::{ship_bytes, Home, ParallelEngine};
 use crate::record::TagMap;
 use crate::relational;
 use crate::sink::Sink;
@@ -104,20 +104,16 @@ pub(crate) enum Role {
     Transform,
 }
 
-/// The role of `op`, given the liveness of its output and whether expands
-/// run a partition exchange (more than one partition).
-pub(crate) fn role(op: &PhysicalOp, live: &Live, exchange: bool) -> Role {
+/// The role of `op`, given the liveness of its output.
+pub(crate) fn role(op: &PhysicalOp, live: &Live) -> Role {
     match op {
-        PhysicalOp::Scan { .. } | PhysicalOp::Select { .. } | PhysicalOp::Project { .. } => {
-            Role::Stream
-        }
-        PhysicalOp::EdgeExpand { .. }
+        PhysicalOp::Scan { .. }
+        | PhysicalOp::Select { .. }
+        | PhysicalOp::Project { .. }
+        | PhysicalOp::EdgeExpand { .. }
         | PhysicalOp::ExpandInto { .. }
         | PhysicalOp::ExpandIntersect { .. }
-        | PhysicalOp::PathExpand { .. } => match exchange {
-            true => Role::Transform,
-            false => Role::Stream,
-        },
+        | PhysicalOp::PathExpand { .. } => Role::Stream,
         // which `tag.prop` slots a live fetch registers depends on the rows
         // it meets, in order: it runs over its whole input
         PhysicalOp::PropertyFetch { tag, props } => match fetch_is_live(live, tag, props) {
@@ -170,9 +166,9 @@ impl Unit {
 
 /// Cut `plan` into units, in an order that is topological over the plan's
 /// nodes (the chains of one node's inputs come before the node).
-pub(crate) fn cut(plan: &PhysicalPlan, live: &[Live], exchange: bool) -> Vec<Unit> {
+pub(crate) fn cut(plan: &PhysicalPlan, live: &[Live]) -> Vec<Unit> {
     let order = plan.topo_order();
-    let role_of = |id: PhysicalNodeId| role(plan.op(id), &live[id.0], exchange);
+    let role_of = |id: PhysicalNodeId| role(plan.op(id), &live[id.0]);
     let mut readers = vec![0usize; plan.len()];
     for i in order.iter().flat_map(|id| plan.inputs(*id)) {
         readers[i.0] += 1;
@@ -213,29 +209,28 @@ pub(crate) fn cut(plan: &PhysicalPlan, live: &[Live], exchange: bool) -> Vec<Uni
 
 /// A compiled `PathExpand`.
 pub(crate) struct PathKernel {
-    pub(crate) src_slot: usize,
+    src_slot: usize,
     dst_slot: usize,
     path_slot: Option<usize>,
     labels: Vec<LabelId>,
-    pub(crate) direction: Direction,
+    direction: Direction,
     hops: (u32, u32),
     semantics: PathSemantics,
 }
 
 impl PathKernel {
     /// Expand every row of `batch`: the output rows (live slots only, cut at
-    /// `batch_size`), the input row each came from, and the partition
-    /// crossings of the traversal (every hop that crosses counts).
-    pub(crate) fn run<G: GraphView>(
+    /// `batch_size`) and the partition crossings of the traversal (every hop
+    /// that crosses counts).
+    fn run<G: GraphView>(
         &self,
         graph: &G,
         batch: &RecordBatch,
         pm: Option<&PartitionMap>,
         live: &[bool],
         batch_size: usize,
-    ) -> (Vec<RecordBatch>, Vec<u32>, CommTally) {
+    ) -> (Vec<RecordBatch>, CommTally) {
         let mut builder = BatchBuilder::with_live(live, batch_size);
-        let mut origins = Vec::new();
         let mut comm = CommTally::default();
         let (min, max) = self.hops;
         for row in 0..batch.rows() {
@@ -251,14 +246,13 @@ impl PathKernel {
                     overrides[1] = (slot, EntryRef::Path(path));
                 }
                 builder.push_row_from(batch, row, &overrides);
-                origins.push(row as u32);
             };
             let (labels, dir, sem) = (&self.labels, self.direction, self.semantics);
             expand::expand_paths(
                 graph, start, labels, dir, min, max, sem, pm, &mut comm, emit,
             );
         }
-        (builder.finish(), origins, comm)
+        (builder.finish(), comm)
     }
 }
 
@@ -271,8 +265,9 @@ pub(crate) enum Stage<'p> {
     /// predicate): the typed column kernel when it covers the shape, the
     /// row-wise compiled evaluator otherwise.
     Filter(CompiledExpr, Option<TypedPred>),
-    Expand(ExpandKernel<'p>),
-    Path(PathKernel),
+    /// An expand, with where its input rows live (which its route reads).
+    Expand(ExpandKernel<'p>, Home),
+    Path(PathKernel, Home),
     Project {
         items: &'p [(Expr, String)],
         in_tags: TagMap,
@@ -298,8 +293,8 @@ impl<'p> Stage<'p> {
         home: &mut Home,
     ) -> Result<Self, ExecError> {
         if let Some(k) = ExpandKernel::compile(graph, op, tags)? {
-            *home = Home::Tag(k.home_slot());
-            return Ok(Stage::Expand(k));
+            let from = std::mem::replace(home, Home::Tag(k.home_slot()));
+            return Ok(Stage::Expand(k, from));
         }
         Ok(match op {
             PhysicalOp::PathExpand {
@@ -314,8 +309,7 @@ impl<'p> Stage<'p> {
             } => {
                 let src_slot = expand::bound(tags, src)?;
                 let dst_slot = tags.slot_or_insert(dst_alias);
-                *home = Home::Tag(dst_slot);
-                Stage::Path(PathKernel {
+                let kernel = PathKernel {
                     src_slot,
                     dst_slot,
                     path_slot: path_alias.as_deref().map(|a| tags.slot_or_insert(a)),
@@ -323,7 +317,8 @@ impl<'p> Stage<'p> {
                     direction: *direction,
                     hops: (*min_hops, *max_hops),
                     semantics: *semantics,
-                })
+                };
+                Stage::Path(kernel, std::mem::replace(home, Home::Tag(dst_slot)))
             }
             PhysicalOp::Select { predicate } => Stage::filter(graph, predicate, tags),
             PhysicalOp::Project { items } => {
@@ -445,6 +440,25 @@ impl<'a, 'p> Worker<'a, 'p> {
         self.tally.comm_bytes += bytes;
     }
 
+    /// Charge one batch through an expand: its route (`None` with one
+    /// partition: nothing to charge) and the kernel's boundary crossings,
+    /// which ship their share of the `out_bytes` of its `out_rows` outputs.
+    fn charge_expand(
+        &mut self,
+        routed: Option<(CommTally, u64)>,
+        crossed: CommTally,
+        out_bytes: u64,
+        out_rows: usize,
+    ) {
+        let Some((route, route_bytes)) = routed else {
+            return;
+        };
+        self.tally.comm += route;
+        self.tally.comm += crossed;
+        self.tally.comm_bytes +=
+            route_bytes + ship_bytes(out_bytes, out_rows as u64, crossed.shipped);
+    }
+
     fn push(&mut self, i: usize, batch: Cow<'_, RecordBatch>) {
         let p = self.p;
         let graph = p.engine.graph();
@@ -480,17 +494,30 @@ impl<'a, 'p> Worker<'a, 'p> {
                 self.sel = sel;
                 self.emit(i, out);
             }
-            Stage::Expand(k) => {
+            Stage::Expand(k, from) => {
+                let routed = p.engine.route(&batch, k.route(), *from);
                 let mut s = std::mem::take(&mut self.scratch[i]);
-                self.tally.comm += k.run(graph, &batch, p.engine.pmap(), &mut s);
+                let mut crossed = k.run(graph, &batch, p.engine.pmap(), &mut s);
+                if let (Some(_), ExpandKernel::Intersect(_)) = (routed, k) {
+                    crossed += p.engine.target_comm(&batch, k.route().0, &s.sel, &s.dst);
+                }
+                let mut out_bytes = 0;
                 for out in k.emit(&batch, &s, live, bs) {
+                    if routed.is_some() {
+                        out_bytes += out.approx_bytes();
+                    }
                     self.emit(i, Cow::Owned(out));
                 }
+                self.charge_expand(routed, crossed, out_bytes, s.sel.len());
                 self.scratch[i] = s;
             }
-            Stage::Path(k) => {
-                let (out, _, comm) = k.run(graph, &batch, p.engine.pmap(), live, bs);
-                self.tally.comm += comm;
+            Stage::Path(k, from) => {
+                let routed = p.engine.route(&batch, (k.src_slot, k.direction), *from);
+                let (out, crossed) = k.run(graph, &batch, p.engine.pmap(), live, bs);
+                if routed.is_some() {
+                    let bytes = out.iter().map(RecordBatch::approx_bytes).sum();
+                    self.charge_expand(routed, crossed, bytes, batch::total_rows(&out));
+                }
                 for out in out {
                     self.emit(i, Cow::Owned(out));
                 }
@@ -574,7 +601,7 @@ mod tests {
     #[test]
     fn every_operator_has_a_role() {
         let all = TypeConstraint::all;
-        let streams_unless_exchanged = [
+        let expands = [
             expand("a", None, "b"),
             PhysicalOp::ExpandInto {
                 src: "a".into(),
@@ -606,11 +633,9 @@ mod tests {
                 path_alias: None,
             },
         ];
-        for op in &streams_unless_exchanged {
-            assert_eq!(role(op, &None, false), Role::Stream, "{}", op.name());
-            assert_eq!(role(op, &None, true), Role::Transform, "{}", op.name());
-        }
-        let fixed = [
+        // expands stream at every partition count
+        let fixed = expands.into_iter().map(|op| (op, Role::Stream));
+        let fixed = fixed.chain([
             (scan("a"), Role::Stream),
             (
                 PhysicalOp::Select {
@@ -637,26 +662,21 @@ mod tests {
                 Role::Transform,
             ),
             (PhysicalOp::Union, Role::Transform),
-        ];
-        for (op, want) in &fixed {
-            for exchange in [false, true] {
-                assert_eq!(role(op, &None, exchange), *want, "{}", op.name());
-            }
+        ]);
+        for (op, want) in fixed {
+            assert_eq!(role(&op, &None), want, "{}", op.name());
         }
         // a fetch runs only while one of its columns has a reader
         let explicit = fetch("t", Some(&["name"]));
-        assert_eq!(role(&explicit, &None, false), Role::Transform);
-        assert_eq!(role(&explicit, &tags(&["t.name"]), false), Role::Transform);
+        assert_eq!(role(&explicit, &None), Role::Transform);
+        assert_eq!(role(&explicit, &tags(&["t.name"])), Role::Transform);
         assert_eq!(
-            role(&explicit, &tags(&["t", "t.id", "tx.name"]), false),
+            role(&explicit, &tags(&["t", "t.id", "tx.name"])),
             Role::Stream
         );
+        assert_eq!(role(&fetch("t", None), &tags(&["t.id"])), Role::Transform);
         assert_eq!(
-            role(&fetch("t", None), &tags(&["t.id"]), false),
-            Role::Transform
-        );
-        assert_eq!(
-            role(&fetch("t", None), &tags(&["t", "tx.id"]), false),
+            role(&fetch("t", None), &tags(&["t", "tx.id"])),
             Role::Stream
         );
     }
@@ -746,9 +766,8 @@ mod tests {
             items: vec![(Expr::tag("cnt"), "cnt".into())],
         });
         let live = liveness(&plan);
-        // one partition: whole chains fuse, Limit cuts mid-chain, the root
-        // collects
-        let units = cut(&plan, &live, false);
+        // whole chains fuse, Limit cuts mid-chain, the root collects
+        let units = cut(&plan, &live);
         assert_eq!(
             units,
             [
@@ -759,19 +778,6 @@ mod tests {
         );
         let nodes: Vec<usize> = units.iter().flat_map(Unit::nodes).map(|n| n.0).collect();
         assert_eq!(nodes, [0, 1, 2, 3, 4, 5, 6], "every node once, in order");
-        // several partitions: each expand exchanges, so its input and it
-        // materialize; the dead fetch still fuses
-        assert_eq!(
-            cut(&plan, &live, true),
-            [
-                unit(0, &[0], None),
-                unit(1, &[], None),
-                unit(3, &[2], Some(1)),
-                unit(4, &[], None),
-                unit(5, &[], Some(4)),
-                unit(6, &[6], Some(5))
-            ]
-        );
 
         // both sides of a join (and of a union) fuse up to it; a node with
         // two readers is materialized once
@@ -787,7 +793,7 @@ mod tests {
         let j = plan.add(join, vec![l, r]);
         let u = plan.add(PhysicalOp::Union, vec![j, shared]);
         plan.add(PhysicalOp::Limit { count: 1 }, vec![u]);
-        let units = cut(&plan, &liveness(&plan), false);
+        let units = cut(&plan, &liveness(&plan));
         assert_eq!(
             units,
             [

@@ -119,12 +119,11 @@ fn main() {
     let result = parted.execute(&graph, &plan_gs).expect("executes");
     println!(
         "partitioned x8 (batched):                  {} result rows, {} intermediate records, \
-         {} comm records / {} comm bytes (exchange peak {} B), {}us",
+         {} comm records / {} comm bytes, {}us",
         result.len(),
         result.stats.intermediate_records,
         result.stats.comm_records,
         result.stats.comm_bytes,
-        result.stats.exchange_peak_bytes,
         result.stats.elapsed_micros
     );
     let greedy = PartitionedBackend::new(8)

@@ -15,8 +15,7 @@
 //! holds a serializing gate for its whole body.
 
 use gopt::exec::{
-    BatchEngine, Engine, EngineConfig, ExchangeMode, ExecError, LimitReason, ParallelEngine,
-    QueryContext,
+    BatchEngine, Engine, EngineConfig, ExecError, LimitReason, ParallelEngine, QueryContext,
 };
 use gopt::gir::pattern::Direction;
 use gopt::gir::physical::{PhysicalOp, PhysicalPlan};
@@ -269,97 +268,6 @@ fn nth_morsel_fault_is_reproducible_and_recoverable() {
     assert_eq!(engine.execute(&plan).unwrap().rows(), want);
 }
 
-/// Backpressure chaos: `exec.exchange` faults with the tightest bounded
-/// channel (capacity 1) in both exchange modes, at partitions {1, 2, 4} ×
-/// threads {1, 2, 4}. The fault now fires per routed morsel inside the
-/// pipeline, so this exercises fault delivery while producers are blocked on
-/// a full channel: the outcome must be the oracle's rows or the action's
-/// typed error — never a hang — and the engine must recover after clearing.
-#[test]
-fn exchange_faults_fire_through_capacity_one_backpressure() {
-    let _gate = serial();
-    let _clear = ClearOnDrop;
-    let g = small_graph();
-    let plan = chaos_plan(&g);
-    let want = oracle_rows(&g, &plan);
-    for parts in [1usize, 2, 4] {
-        for &(spec, hubs) in placements(parts) {
-            let sharded = PartitionedGraph::build_with_opts(&g, spec.build(&g, parts), hubs);
-            for threads in [1usize, 2, 4] {
-                for mode in [ExchangeMode::Pipelined, ExchangeMode::Barrier] {
-                    let engine = ParallelEngine::new(&sharded)
-                        .with_threads(threads)
-                        .with_exchange_capacity(1)
-                        .with_exchange_mode(mode);
-                    for action in ACTIONS {
-                        failpoint::clear();
-                        failpoint::configure("exec.exchange", action).unwrap();
-                        let tag = format!(
-                            "exec.exchange={action} p={parts} t={threads} {mode:?} partitioner={}",
-                            spec.name()
-                        );
-                        let got = engine.execute(&plan);
-                        match (&got, action) {
-                            (Ok(res), _) => {
-                                assert_eq!(res.rows(), want, "rows diverge under {tag}");
-                            }
-                            (Err(ExecError::Injected { point, msg }), a)
-                                if a.starts_with("err") =>
-                            {
-                                assert_eq!(point, "exec.exchange", "wrong site under {tag}");
-                                assert_eq!(msg, "chaos", "wrong message under {tag}");
-                            }
-                            (Err(ExecError::WorkerPanicked { .. }), a)
-                                if a.starts_with("panic") => {}
-                            (err, _) => panic!("unexpected outcome under {tag}: {err:?}"),
-                        }
-                        if action.starts_with("delay") {
-                            assert!(got.is_ok(), "delay must not fail ({tag})");
-                        }
-                        failpoint::clear();
-                        let replay = engine
-                            .execute(&plan)
-                            .unwrap_or_else(|e| panic!("no recovery after {tag}: {e}"));
-                        assert_eq!(replay.rows(), want, "recovery rows diverge after {tag}");
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// A context cancelled before submission, combined with the tightest channel,
-/// yields `Cancelled` on every engine — no deadlock, no partial rows — at
-/// every thread count.
-#[test]
-fn precancelled_context_with_capacity_one_channel_fails_identically() {
-    let _gate = serial();
-    let g = small_graph();
-    let plan = chaos_plan(&g);
-    let ctx = QueryContext::new();
-    ctx.cancel();
-    for (i, r) in run_all_engines(&g, &plan, &ctx).into_iter().enumerate() {
-        assert_eq!(
-            r.unwrap_err(),
-            ExecError::LimitExceeded(LimitReason::Cancelled),
-            "engine #{i}"
-        );
-    }
-    let sharded = PartitionedGraph::build(&g, 4);
-    for threads in [1usize, 2, 4] {
-        let r = ParallelEngine::new(&sharded)
-            .with_threads(threads)
-            .with_exchange_capacity(1)
-            .execute_with_ctx(&plan, &ctx)
-            .map(|res| res.rows());
-        assert_eq!(
-            r.unwrap_err(),
-            ExecError::LimitExceeded(LimitReason::Cancelled),
-            "cap=1 t={threads}"
-        );
-    }
-}
-
 fn run_all_engines(
     g: &PropertyGraph,
     plan: &PhysicalPlan,
@@ -431,7 +339,9 @@ fn generous_budget_meters_without_firing() {
     assert!(ctx.bytes_charged() > 0, "budget accounting metered nothing");
 }
 
-/// A pre-cancelled context aborts all three engines before any work.
+/// A pre-cancelled context aborts all three engines before any work — and
+/// the parallel engine on four shards at every thread count: no partial
+/// rows, no hang.
 #[test]
 fn cancelled_context_fails_identically_everywhere() {
     let _gate = serial();
@@ -444,6 +354,18 @@ fn cancelled_context_fails_identically_everywhere() {
             r.unwrap_err(),
             ExecError::LimitExceeded(LimitReason::Cancelled),
             "engine #{i}"
+        );
+    }
+    let sharded = PartitionedGraph::build(&g, 4);
+    for threads in [1usize, 2, 4] {
+        let r = ParallelEngine::new(&sharded)
+            .with_threads(threads)
+            .execute_with_ctx(&plan, &ctx)
+            .map(|res| res.rows());
+        assert_eq!(
+            r.unwrap_err(),
+            ExecError::LimitExceeded(LimitReason::Cancelled),
+            "p=4 t={threads}"
         );
     }
 }

@@ -447,14 +447,15 @@ pub fn assert_parallel_matrix(
                         (got.stats.intermediate_records, got.stats.peak_records),
                         "record statistics at {at}"
                     );
-                    let shipped = (got.stats.comm_records, got.stats.comm_bytes);
+                    let s = &got.stats;
+                    let shipped = (s.comm_records, s.comm_bytes, s.locality_hits);
                     assert_eq!(
                         *comm.get_or_insert(shipped),
                         shipped,
                         "communication at {at}"
                     );
                     if parts == 1 {
-                        assert_eq!(shipped, (0, 0), "one partition ships nothing ({at})");
+                        assert_eq!(shipped, (0, 0, 0), "one partition ships nothing ({at})");
                     }
                 }
             }

@@ -1,20 +1,19 @@
 //! Typed configuration errors from the environment knobs: an invalid
-//! `GOPT_EXCHANGE_CAP`, `GOPT_EXCHANGE_MODE` or `GOPT_PARTITIONER` value must
-//! surface as [`ExecError::Config`] on the first execute — never a silent
-//! fallback to the default — while valid values and explicit builder settings
-//! keep working.
+//! `GOPT_PARTITIONER` value must surface as [`ExecError::Config`] on the first
+//! execute (and on `prepare`) — never a silent fallback to the default —
+//! while valid values keep working.
 //!
 //! Environment variables are process-global, so this whole suite is ONE test
 //! function in its own integration-test binary: no other test shares the
 //! process, and the mutations here are sequential.
 
-use gopt::exec::{Backend, ExchangeMode, ExecError, ParallelEngine, PartitionedBackend};
+use gopt::exec::{Backend, ExecError, PartitionedBackend};
 use gopt::gir::pattern::Direction;
 use gopt::gir::physical::{PhysicalOp, PhysicalPlan};
 use gopt::gir::types::TypeConstraint;
 use gopt::graph::generator::{random_graph, RandomGraphConfig};
 use gopt::graph::schema::fig6_schema;
-use gopt::graph::{PartitionedGraph, PropertyGraph};
+use gopt::graph::PropertyGraph;
 
 fn simple_plan(g: &PropertyGraph) -> PhysicalPlan {
     let person = TypeConstraint::basic(g.schema().vertex_label("Person").unwrap());
@@ -64,64 +63,6 @@ fn expect_config_err(r: Result<impl std::fmt::Debug, ExecError>, var: &str, tag:
 fn invalid_env_knobs_fail_typed_and_valid_ones_work() {
     let g = random_graph(&fig6_schema(), &RandomGraphConfig::default());
     let plan = simple_plan(&g);
-    let sharded = PartitionedGraph::build(&g, 4);
-    let want = ParallelEngine::new(&sharded)
-        .execute(&plan)
-        .expect("baseline run")
-        .rows();
-
-    // --- GOPT_EXCHANGE_CAP ------------------------------------------------
-    for bad in ["0", "-3", "banana", "1.5"] {
-        with_env("GOPT_EXCHANGE_CAP", bad, || {
-            expect_config_err(
-                ParallelEngine::new(&sharded).execute(&plan),
-                "GOPT_EXCHANGE_CAP",
-                &format!("cap={bad:?}"),
-            );
-            // an explicit builder setting overrides the broken environment
-            let rows = ParallelEngine::new(&sharded)
-                .with_exchange_capacity(2)
-                .execute(&plan)
-                .expect("builder overrides a bad GOPT_EXCHANGE_CAP")
-                .rows();
-            assert_eq!(rows, want);
-        });
-    }
-    with_env("GOPT_EXCHANGE_CAP", "3", || {
-        let rows = ParallelEngine::new(&sharded)
-            .execute(&plan)
-            .expect("valid GOPT_EXCHANGE_CAP")
-            .rows();
-        assert_eq!(rows, want);
-    });
-
-    // --- GOPT_EXCHANGE_MODE -----------------------------------------------
-    for bad in ["eager", "Pipelined", "1"] {
-        with_env("GOPT_EXCHANGE_MODE", bad, || {
-            expect_config_err(
-                ParallelEngine::new(&sharded).execute(&plan),
-                "GOPT_EXCHANGE_MODE",
-                &format!("mode={bad:?}"),
-            );
-            let rows = ParallelEngine::new(&sharded)
-                .with_exchange_mode(ExchangeMode::Barrier)
-                .execute(&plan)
-                .expect("builder overrides a bad GOPT_EXCHANGE_MODE")
-                .rows();
-            assert_eq!(rows, want);
-        });
-    }
-    for good in ["barrier", "pipelined", " barrier "] {
-        with_env("GOPT_EXCHANGE_MODE", good, || {
-            let rows = ParallelEngine::new(&sharded)
-                .execute(&plan)
-                .expect("valid GOPT_EXCHANGE_MODE")
-                .rows();
-            assert_eq!(rows, want);
-        });
-    }
-
-    // --- GOPT_PARTITIONER -------------------------------------------------
     let backend = || PartitionedBackend::new(4).unwrap();
     let base = backend().execute(&g, &plan).expect("baseline backend run");
     for bad in ["fennel", "random", "modulo"] {

@@ -64,7 +64,7 @@ fn assert_parallel_agrees(g: &PropertyGraph, plan: &PhysicalPlan) {
         for &(spec, hubs) in placements {
             let name = spec.name();
             let sharded = PartitionedGraph::build_with_opts(g, spec.build(g, parts), hubs);
-            let mut comm_seen: Option<u64> = None;
+            let mut comm_seen = None;
             for &t in &threads {
                 let got = ParallelEngine::new(&sharded)
                     .with_threads(t)
@@ -73,19 +73,16 @@ fn assert_parallel_agrees(g: &PropertyGraph, plan: &PhysicalPlan) {
                 match (&oracle, &got) {
                     (Ok(o), Ok(r)) => {
                         assert_same(o, r, parts, t);
-                        match comm_seen {
-                            None => comm_seen = Some(r.stats.comm_records),
-                            Some(c) => assert_eq!(
-                                c, r.stats.comm_records,
-                                "communication depends on thread count \
-                                 (p={parts}, t={t}, partitioner={name})"
-                            ),
-                        }
+                        let s = &r.stats;
+                        let comm = (s.comm_records, s.comm_bytes, s.locality_hits);
+                        assert_eq!(
+                            *comm_seen.get_or_insert(comm),
+                            comm,
+                            "communication depends on thread count \
+                             (p={parts}, t={t}, partitioner={name})"
+                        );
                         if parts == 1 {
-                            assert_eq!(
-                                r.stats.comm_records, 0,
-                                "a single partition ships no rows (t={t})"
-                            );
+                            assert_eq!(comm, (0, 0, 0), "a single partition ships nothing (t={t})");
                         }
                     }
                     (Err(eo), Err(eg)) => assert_eq!(
@@ -393,6 +390,276 @@ fn random_plan_orders_agree_with_the_scalar_oracle() {
             assert_parallel_agrees(&graph, &plan);
         }
     }
+}
+
+/// One plan per charge of the communication model, over the pipeline graph:
+/// route alignment (an expand from a tag that is not the rows' home), the
+/// off-partition targets of a 2-step intersection, a path's crossing hops, a
+/// projection that drops the home tag (gather, then realign), and the
+/// gathers of a join and of a union.
+fn comm_model_plans(g: &PropertyGraph) -> Vec<(&'static str, PhysicalPlan)> {
+    use gopt::gir::pattern::{Direction, PathSemantics};
+    use gopt::gir::physical::{IntersectStep, PhysicalOp};
+    use gopt::gir::types::TypeConstraint;
+    use gopt::gir::{AggFunc, Expr, JoinType};
+    let vertex = |l: &str| TypeConstraint::basic(g.schema().vertex_label(l).unwrap());
+    let edge = |l: &str| TypeConstraint::basic(g.schema().edge_label(l).unwrap());
+    let scan = |alias: &str| PhysicalOp::Scan {
+        alias: alias.into(),
+        constraint: vertex("Person"),
+        predicate: None,
+    };
+    let expand = |src: &str, e: &str, dst: &str, label: &str| PhysicalOp::EdgeExpand {
+        src: src.into(),
+        edge_alias: None,
+        edge_constraint: edge(e),
+        direction: Direction::Out,
+        dst_alias: dst.into(),
+        dst_constraint: vertex(label),
+        dst_predicate: None,
+        edge_predicate: None,
+    };
+    let step = |src: &str| IntersectStep {
+        src: src.into(),
+        edge_constraint: edge("Knows"),
+        direction: Direction::Out,
+        edge_alias: None,
+    };
+    let chain = |ops: Vec<PhysicalOp>| {
+        let mut plan = PhysicalPlan::new();
+        plan.push(scan("a"));
+        plan.push(expand("a", "Knows", "b", "Person"));
+        for op in ops {
+            plan.push(op);
+        }
+        plan
+    };
+    let align = chain(vec![expand("a", "Purchases", "p", "Product")]);
+    let intersect = chain(vec![PhysicalOp::ExpandIntersect {
+        steps: vec![step("a"), step("b")],
+        dst_alias: "c".into(),
+        dst_constraint: vertex("Person"),
+        dst_predicate: None,
+    }]);
+    let mut path = PhysicalPlan::new();
+    path.push(scan("a"));
+    path.push(PhysicalOp::PathExpand {
+        src: "a".into(),
+        dst_alias: "b".into(),
+        edge_constraint: edge("Knows"),
+        direction: Direction::Out,
+        min_hops: 1,
+        max_hops: 3,
+        semantics: PathSemantics::Arbitrary,
+        path_alias: None,
+    });
+    let drop_home = chain(vec![
+        PhysicalOp::Project {
+            items: vec![(Expr::tag("a"), "a".into())],
+        },
+        expand("a", "Knows", "c", "Person"),
+    ]);
+    let mut gathers = PhysicalPlan::new();
+    let l0 = gathers.add(scan("a"), vec![]);
+    let l1 = gathers.add(expand("a", "LocatedIn", "c", "Place"), vec![l0]);
+    let r0 = gathers.add(scan("a"), vec![]);
+    let r1 = gathers.add(expand("a", "Knows", "b", "Person"), vec![r0]);
+    let join = PhysicalOp::HashJoin {
+        keys: vec!["a".into()],
+        kind: JoinType::Inner,
+    };
+    let j = gathers.add(join, vec![l1, r1]);
+    let u0 = gathers.add(scan("a"), vec![]);
+    let u1 = gathers.add(expand("a", "Knows", "c", "Person"), vec![u0]);
+    let u = gathers.add(PhysicalOp::Union, vec![j, u1]);
+    let count = PhysicalOp::HashGroup {
+        keys: vec![],
+        aggs: vec![(AggFunc::Count, Expr::lit(1), "cnt".into())],
+    };
+    gathers.add(count, vec![u]);
+    vec![
+        ("align", align),
+        ("intersect", intersect),
+        ("path", path),
+        ("drop_home", drop_home),
+        ("join_union", gathers),
+    ]
+}
+
+/// `(plan, partitions, partitioner, comm_records, locality_hits)`, taken from
+/// the split/route/merge exchange these counters were first measured with.
+const PINNED_COMM: &[(&str, usize, &str, u64, u64)] = &[
+    ("align", 2, "hash", 180, 0),
+    ("align", 2, "greedy", 124, 6),
+    ("align", 4, "hash", 234, 0),
+    ("align", 4, "greedy", 176, 13),
+    ("intersect", 2, "hash", 270, 0),
+    ("intersect", 2, "greedy", 84, 12),
+    ("intersect", 4, "hash", 270, 0),
+    ("intersect", 4, "greedy", 136, 26),
+    ("path", 2, "hash", 1170, 0),
+    ("path", 2, "greedy", 338, 78),
+    ("path", 4, "hash", 1170, 0),
+    ("path", 4, "greedy", 598, 104),
+    ("drop_home", 2, "hash", 450, 0),
+    ("drop_home", 2, "greedy", 152, 24),
+    ("drop_home", 4, "hash", 492, 0),
+    ("drop_home", 4, "greedy", 298, 32),
+    ("join_union", 2, "hash", 283, 0),
+    ("join_union", 2, "greedy", 143, 12),
+    ("join_union", 4, "hash", 331, 0),
+    ("join_union", 4, "greedy", 256, 16),
+];
+
+/// The communication model is pinned: exact `comm_records` and
+/// `locality_hits` per plan at p{2,4} × {hash, greedy + 4 hubs}, at every
+/// thread count and two batch sizes.
+#[test]
+fn communication_counters_are_pinned() {
+    let g = pipeline_plans::pipeline_graph();
+    let mut got = Vec::new();
+    for (name, plan) in comm_model_plans(&g) {
+        let oracle = Engine::new(&g, EngineConfig::default()).execute(&plan);
+        for parts in [2usize, 4] {
+            for (spec, hubs) in [(PartitionerSpec::Hash, 0), (PartitionerSpec::Greedy, 4)] {
+                let sharded = PartitionedGraph::build_with_opts(&g, spec.build(&g, parts), hubs);
+                let mut seen = None;
+                for &t in &thread_matrix() {
+                    for bs in [3usize, 1024] {
+                        let res = ParallelEngine::new(&sharded)
+                            .with_threads(t)
+                            .with_batch_size(bs)
+                            .execute(&plan);
+                        let at = format!("{name} p={parts} {} t={t} bs={bs}", spec.name());
+                        let res = match (&oracle, res) {
+                            (Ok(_), Ok(res)) => res,
+                            // an armed `exec.operator` fail point: both fail alike
+                            (Err(want), Err(e)) => {
+                                assert_eq!(*want, e, "errors at {at}");
+                                continue;
+                            }
+                            (o, r) => panic!("{at}: oracle {o:?}, engine {r:?}"),
+                        };
+                        let counted = (res.stats.comm_records, res.stats.locality_hits);
+                        assert_eq!(*seen.get_or_insert(counted), counted, "{at}");
+                    }
+                }
+                if let Some((records, hits)) = seen {
+                    got.push((name, parts, spec.name(), records, hits));
+                }
+            }
+        }
+    }
+    if !got.is_empty() {
+        assert_eq!(got, PINNED_COMM, "communication drifted; measured {got:#?}");
+    }
+}
+
+/// `Scan(Person) → Knows → Knows`: every hop moves rows to the target's
+/// shard.
+fn two_hop(g: &PropertyGraph) -> PhysicalPlan {
+    use gopt::gir::pattern::Direction;
+    use gopt::gir::physical::PhysicalOp;
+    use gopt::gir::types::TypeConstraint;
+    let person = TypeConstraint::basic(g.schema().vertex_label("Person").unwrap());
+    let knows = TypeConstraint::basic(g.schema().edge_label("Knows").unwrap());
+    let mut plan = PhysicalPlan::new();
+    plan.push(PhysicalOp::Scan {
+        alias: "a".into(),
+        constraint: person.clone(),
+        predicate: None,
+    });
+    for (src, dst) in [("a", "b"), ("b", "c")] {
+        plan.push(PhysicalOp::EdgeExpand {
+            src: src.into(),
+            edge_alias: None,
+            edge_constraint: knows.clone(),
+            direction: Direction::Out,
+            dst_alias: dst.into(),
+            dst_constraint: person.clone(),
+            dst_predicate: None,
+            edge_predicate: None,
+        });
+    }
+    plan
+}
+
+/// `plan` on `sharded` at two threads, rows checked against the scalar
+/// oracle; `None` when an armed fail point fails both alike.
+fn run_sharded(
+    g: &PropertyGraph,
+    sharded: &PartitionedGraph,
+    plan: &PhysicalPlan,
+) -> Option<ExecResult> {
+    let got = ParallelEngine::new(sharded).with_threads(2).execute(plan);
+    match (Engine::new(g, EngineConfig::default()).execute(plan), got) {
+        (Ok(oracle), Ok(got)) => {
+            assert_eq!(oracle.rows(), got.rows(), "placement never changes rows");
+            Some(got)
+        }
+        (Err(want), Err(got)) => {
+            assert_eq!(want, got);
+            None
+        }
+        (oracle, got) => panic!("oracle {oracle:?}, engine {got:?}"),
+    }
+}
+
+/// PR 10's locality bar: on a skew-1.2 Zipf graph at p=4, greedy placement
+/// with 32 replicated hubs ships at most 70 % of modulo hash's bytes, with
+/// identical rows; hub replicas alone already serve crossings locally.
+#[test]
+fn greedy_placement_with_hubs_ships_at_most_70_percent_of_hash() {
+    use gopt::graph::generator::{zipf_graph, ZipfGraphConfig};
+    let g = zipf_graph(
+        &fig6_schema(),
+        &ZipfGraphConfig {
+            vertices_per_label: 120,
+            edges_per_endpoint: 600,
+            skew: 1.2,
+            seed: 7,
+        },
+    );
+    let plan = two_hop(&g);
+    let run = |spec: PartitionerSpec, hubs| {
+        let sharded = PartitionedGraph::build_with_opts(&g, spec.build(&g, 4), hubs);
+        run_sharded(&g, &sharded, &plan).map(|r| r.stats)
+    };
+    let (Some(hash), Some(hash_hubs), Some(greedy_hubs)) = (
+        run(PartitionerSpec::Hash, 0),
+        run(PartitionerSpec::Hash, 32),
+        run(PartitionerSpec::Greedy, 32),
+    ) else {
+        return;
+    };
+    assert!(hash.comm_bytes > 0, "the skewed p=4 baseline ships bytes");
+    assert!(
+        10 * greedy_hubs.comm_bytes <= 7 * hash.comm_bytes,
+        "greedy + hubs must cut comm_bytes by >= 30%: {} vs {}",
+        greedy_hubs.comm_bytes,
+        hash.comm_bytes
+    );
+    assert!(
+        hash_hubs.locality_hits > 0,
+        "hub replicas record locality hits"
+    );
+}
+
+/// One partition ships nothing: zero rows, bytes and hits, and the same rows
+/// as four partitions.
+#[test]
+fn one_partition_ships_nothing() {
+    let g = pipeline_plans::pipeline_graph();
+    let plan = two_hop(&g);
+    let solo = run_sharded(&g, &PartitionedGraph::build(&g, 1), &plan);
+    let four = run_sharded(&g, &PartitionedGraph::build(&g, 4), &plan);
+    let (Some(solo), Some(four)) = (solo, four) else {
+        return;
+    };
+    let s = &solo.stats;
+    assert_eq!((s.comm_records, s.comm_bytes, s.locality_hits), (0, 0, 0));
+    assert!(four.stats.comm_records > 0, "p=4 ships rows");
+    assert_eq!(solo.rows(), four.rows());
 }
 
 proptest! {
