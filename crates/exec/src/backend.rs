@@ -5,12 +5,11 @@
 //! (distributed dataflow over Gaia). The two backends here model the properties of those
 //! systems that matter for plan quality:
 //!
-//! * [`SingleMachineBackend`] — flattened row-at-a-time execution, no communication cost;
-//!   the natural home for `ExpandInto`-style plans.
+//! * [`SingleMachineBackend`] — the monolithic graph, one thread, no communication
+//!   cost; the natural home for `ExpandInto`-style plans.
 //! * [`PartitionedBackend`] — vertices are partitioned over `partitions` workers,
 //!   each owning its shard of the CSR adjacency and vertex properties
-//!   ([`gopt_graph::PartitionedGraph`]); plans run on the morsel-driven
-//!   [`ParallelEngine`] with a configurable worker-thread count, and
+//!   ([`gopt_graph::PartitionedGraph`]), with a configurable worker-thread count;
 //!   `ExecStats::comm_records` is a *measured* count of rows crossing shards.
 //!   The natural home for `ExpandIntersect` (worst-case-optimal) plans.
 //!   Placement is pluggable: the default modulo hash partitioner, or the
@@ -22,17 +21,14 @@
 //!   `ExecStats::replicated_bytes` of storage for `locality_hits` instead of
 //!   shipped rows.
 //!
-//! Both accept any physical operator (e.g. the single-machine backend can still run an
-//! `ExpandIntersect` plan) — the difference the optimizer must reason about is *cost*,
-//! which is exactly what the `PhysicalSpec` registration in `gopt-core` captures.
-//!
-//! Selecting [`ExecMode::Scalar`] on the partitioned backend falls back to the
-//! scalar interpreter with *simulated* partitioning on monolithic storage —
-//! the behavioural oracle the equivalence suites compare against.
+//! Both run the same interpreter — the morsel-driven [`ParallelEngine`], over
+//! whichever storage they hold — and accept any physical operator (e.g. the
+//! single-machine backend can still run an `ExpandIntersect` plan). The difference
+//! the optimizer must reason about is *cost*, which is exactly what the
+//! `PhysicalSpec` registration in `gopt-core` captures.
 
-use crate::batch::DEFAULT_BATCH_SIZE;
 use crate::context::QueryContext;
-use crate::engine::{BatchEngine, Engine, EngineConfig, ExecResult};
+use crate::engine::ExecResult;
 use crate::error::ExecError;
 use crate::parallel::{MorselPool, ParallelEngine};
 use gopt_gir::physical::PhysicalPlan;
@@ -59,50 +55,12 @@ pub trait Backend {
     ) -> Result<ExecResult, ExecError>;
 }
 
-/// How a backend's engine processes intermediate results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Row-at-a-time interpretation with [`Engine`] — the original path, kept as
-    /// the behavioural oracle for the batched engine.
-    Scalar,
-    /// Vectorized execution with [`BatchEngine`] over struct-of-arrays record
-    /// batches of at most `batch_size` rows. The default.
-    Batched {
-        /// Maximum rows per batch.
-        batch_size: usize,
-    },
-}
-
-impl Default for ExecMode {
-    fn default() -> Self {
-        ExecMode::Batched {
-            batch_size: DEFAULT_BATCH_SIZE,
-        }
-    }
-}
-
-fn run(
-    graph: &PropertyGraph,
-    plan: &PhysicalPlan,
-    config: EngineConfig,
-    mode: ExecMode,
-    ctx: &QueryContext,
-) -> Result<ExecResult, ExecError> {
-    match mode {
-        ExecMode::Scalar => Engine::new(graph, config).execute_with_ctx(plan, ctx),
-        ExecMode::Batched { batch_size } => BatchEngine::new(graph, config)
-            .with_batch_size(batch_size)
-            .execute_with_ctx(plan, ctx),
-    }
-}
-
-/// A Neo4j-like single-machine interpreted backend.
+/// A Neo4j-like single-machine backend: the morsel-driven [`ParallelEngine`]
+/// over the monolithic graph, at one thread, with no placement to charge.
 #[derive(Debug, Clone, Default)]
 pub struct SingleMachineBackend {
     /// Optional intermediate-record limit (abort instead of running away).
     pub record_limit: Option<u64>,
-    /// Scalar or batched execution (batched by default).
-    pub mode: ExecMode,
 }
 
 impl SingleMachineBackend {
@@ -115,14 +73,7 @@ impl SingleMachineBackend {
     pub fn with_record_limit(limit: u64) -> Self {
         SingleMachineBackend {
             record_limit: Some(limit),
-            ..Self::default()
         }
-    }
-
-    /// Select scalar or batched execution.
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self
     }
 }
 
@@ -145,16 +96,7 @@ impl Backend for SingleMachineBackend {
         plan: &PhysicalPlan,
         ctx: &QueryContext,
     ) -> Result<ExecResult, ExecError> {
-        run(
-            graph,
-            plan,
-            EngineConfig {
-                partitions: None,
-                record_limit: None,
-            },
-            self.mode,
-            ctx,
-        )
+        ParallelEngine::new(graph).execute_with_ctx(plan, ctx)
     }
 }
 
@@ -173,9 +115,9 @@ type ShardCache = Arc<Mutex<Option<(ShardCacheKey, Arc<PartitionedGraph>)>>>;
 ///
 /// The shards are built lazily on the first [`Backend::execute`] call and
 /// cached; executing against a different graph rebuilds them. Results are
-/// identical to the single-machine engines for every plan; only
-/// `ExecStats::comm_records` differs — here it counts rows that actually
-/// crossed shards (stable across thread counts).
+/// identical to the single-machine backend's for every plan; only the
+/// communication counters differ — here they count rows that crossed shards
+/// (stable across thread counts).
 #[derive(Debug, Clone)]
 pub struct PartitionedBackend {
     /// Number of partitions (workers owning a graph shard each).
@@ -184,8 +126,6 @@ pub struct PartitionedBackend {
     pub threads: usize,
     /// Optional intermediate-record limit.
     pub record_limit: Option<u64>,
-    /// Batched (morsel-driven, the default) or scalar-oracle execution.
-    pub mode: ExecMode,
     /// Vertex placement strategy the shards are built with (the
     /// `GOPT_PARTITIONER` environment variable overrides this).
     pub partitioner: PartitionerSpec,
@@ -194,7 +134,7 @@ pub struct PartitionedBackend {
     pub replicate_hubs: usize,
     /// Lazily built sharded graph, keyed by the source graph's identity.
     cache: ShardCache,
-    /// The shared morsel pool every batched execute runs on, spawned lazily
+    /// The shared morsel pool every execute runs on, spawned lazily
     /// for `threads`-way parallelism and reused across calls — so repeated
     /// queries skip thread spawn/teardown and *concurrent* queries multiplex
     /// one set of workers with round-robin fairness.
@@ -217,7 +157,6 @@ impl PartitionedBackend {
             partitions,
             threads: 1,
             record_limit: None,
-            mode: ExecMode::default(),
             partitioner: PartitionerSpec::default(),
             replicate_hubs: 0,
             cache: Arc::new(Mutex::new(None)),
@@ -244,12 +183,6 @@ impl PartitionedBackend {
         self
     }
 
-    /// Select batched (morsel-driven parallel) or scalar-oracle execution.
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Select the vertex placement strategy the shards are built with. The
     /// `GOPT_PARTITIONER` environment variable, when set, wins over this.
     pub fn with_partitioner(mut self, spec: PartitionerSpec) -> Self {
@@ -266,7 +199,7 @@ impl PartitionedBackend {
         self
     }
 
-    /// Run batched executes on an externally owned shared [`MorselPool`]
+    /// Run executes on an externally owned shared [`MorselPool`]
     /// instead of this backend's lazy one — for callers multiplexing several
     /// backends over one set of worker threads.
     pub fn with_pool(mut self, pool: &MorselPool) -> Self {
@@ -274,7 +207,7 @@ impl PartitionedBackend {
         self
     }
 
-    /// The shared pool batched executes run on: the injected one if present,
+    /// The shared pool executes run on: the injected one if present,
     /// otherwise a pool sized for [`threads`](Self::threads)-way parallelism,
     /// spawned on first use and reused across (and shared by concurrent)
     /// execute calls.
@@ -377,27 +310,15 @@ impl Backend for PartitionedBackend {
         plan: &PhysicalPlan,
         ctx: &QueryContext,
     ) -> Result<ExecResult, ExecError> {
-        match self.mode {
-            // the scalar oracle: simulated partitioning on monolithic storage
-            ExecMode::Scalar => run(
-                graph,
-                plan,
-                EngineConfig {
-                    partitions: Some(self.partitions),
-                    record_limit: None,
-                },
-                ExecMode::Scalar,
-                ctx,
-            ),
-            ExecMode::Batched { batch_size } => {
-                let sharded = self.sharded(graph)?;
-                ParallelEngine::new(&sharded)
-                    .with_threads(self.threads)
-                    .with_batch_size(batch_size)
-                    .with_pool(&self.pool())
-                    .execute_with_ctx(plan, ctx)
-            }
-        }
+        let sharded = self.sharded(graph)?;
+        let mut result = ParallelEngine::new(&*sharded)
+            .with_threads(self.threads)
+            .with_pool(&self.pool())
+            .execute_with_ctx(plan, ctx)?;
+        // the storage price of the hub replicas these shards carry —
+        // constant per deployment, reported per query
+        result.stats.replicated_bytes = sharded.replicated_bytes();
+        Ok(result)
     }
 }
 
@@ -445,13 +366,6 @@ mod tests {
         assert_eq!(r1.sorted_rows(), r2.sorted_rows());
         assert_eq!(r1.stats.comm_records, 0);
         assert!(r2.stats.comm_records > 0, "measured cross-shard rows");
-        // the scalar-oracle mode agrees on rows too
-        let r3 = PartitionedBackend::new(4)
-            .unwrap()
-            .with_mode(ExecMode::Scalar)
-            .execute(&g, &plan)
-            .unwrap();
-        assert_eq!(r1.sorted_rows(), r3.sorted_rows());
         // repeated execution reuses the cached shards and stays deterministic
         let r4 = parted.execute(&g, &plan).unwrap();
         assert_eq!(r2.sorted_rows(), r4.sorted_rows());

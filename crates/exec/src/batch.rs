@@ -12,7 +12,7 @@
 //!                slot 2  Value  column  [42, 43,...] + validity bitmap
 //! ```
 //!
-//! The columnar layout is what makes the batched operators in
+//! The columnar layout is what makes the morsel engine's kernels in
 //! [`expand`](crate::expand) and [`relational`](crate::relational) cache-friendly: an
 //! `EdgeExpand` reads one contiguous `&[VertexId]` of sources, a `Select` evaluates its
 //! predicate over columns, and filtering/expansion produce *selection vectors* of row

@@ -2,8 +2,8 @@
 //! unified record limit.
 //!
 //! A [`QueryContext`] travels with one query through whichever engine runs it
-//! (scalar [`crate::engine::Engine`], vectorized [`crate::engine::BatchEngine`]
-//! or morsel-driven [`crate::parallel::ParallelEngine`]) and is consulted
+//! (the morsel-driven [`crate::parallel::ParallelEngine`] both backends run, or
+//! the scalar oracle [`crate::engine::Engine`]) and is consulted
 //! *cooperatively*: at every operator boundary, at every morsel a worker picks
 //! up, and periodically inside pipeline breakers' accumulation loops. A
 //! violated bound surfaces as [`ExecError::LimitExceeded`] with a

@@ -1,19 +1,11 @@
-//! The physical-plan interpreters.
+//! The scalar oracle, and the result and statistics every engine returns.
 //!
-//! Two engines walk a [`PhysicalPlan`] in topological order, materialise the output of
-//! each operator, and gather [`ExecStats`] (intermediate records — the paper's
-//! communication/computation cost proxy —, simulated cross-partition communication,
-//! wall-clock time):
-//!
-//! * [`Engine`] — the scalar interpreter: each operator consumes and produces
-//!   `Vec<Record>`. This is the original row-at-a-time path, kept as the behavioural
-//!   **oracle** for the batched engine.
-//! * [`BatchEngine`] — the vectorized interpreter: each operator consumes and produces
-//!   `Vec<RecordBatch>` (struct-of-arrays columns, at most `batch_size` rows per
-//!   batch; see [`crate::batch`]). Operators are required to emit exactly the same
-//!   rows in exactly the same order as their scalar counterparts, with identical
-//!   communication accounting, so the two engines agree on every plan — including
-//!   record-limit aborts, which compare against the same running total.
+//! [`Engine`] walks a [`PhysicalPlan`] in topological order and materialises the
+//! output of each operator as `Vec<Record>`, one row at a time. It is not a
+//! production path: it is the **behavioural oracle** the morsel-driven
+//! [`crate::parallel::ParallelEngine`] — which both backends run — must agree with
+//! on rows, row order, tags, [`ExecStats::intermediate_records`],
+//! [`ExecStats::peak_records`] and errors, record-limit aborts included.
 //!
 //! A configurable intermediate-record limit plays the role of the paper's one-hour
 //! timeout ("OT"): grossly un-optimized plans are cut off instead of exhausting memory.
@@ -25,7 +17,7 @@ use crate::expand::{self, EdgeExpandArgs};
 use crate::record::{Record, TagMap};
 use crate::relational;
 use gopt_gir::physical::{PhysicalOp, PhysicalPlan};
-use gopt_graph::{PartitionMap, PropValue, PropertyGraph};
+use gopt_graph::{PropValue, PropertyGraph};
 use std::time::Instant;
 
 /// Stable operator name for error reporting ([`ExecError::WorkerPanicked`]).
@@ -59,9 +51,6 @@ fn scalar_bytes(records: &[Record], width: usize) -> u64 {
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// Number of partitions of a simulated distributed deployment; `None` or `Some(1)`
-    /// means single-machine execution with zero communication cost.
-    pub partitions: Option<usize>,
     /// Abort execution when the total number of produced intermediate records exceeds
     /// this limit (the benchmark harness' analogue of the paper's OT timeouts).
     pub record_limit: Option<u64>,
@@ -78,10 +67,9 @@ pub struct ExecStats {
     pub comm_records: u64,
     /// Bytes that crossed a partition boundary, estimated from
     /// [`RecordBatch::approx_bytes`](crate::RecordBatch::approx_bytes) of the
-    /// routed rows. Measured only by the parallel engine (the scalar/batched
-    /// engines simulate partitions and leave it 0); like `comm_records` it is
-    /// a pure function of the data and the partitioner — identical across
-    /// thread counts, and 0 with one partition.
+    /// routed rows. Like `comm_records` it is a pure function of the data and
+    /// the partitioner — identical across thread counts, and 0 with one
+    /// partition.
     pub comm_bytes: u64,
     /// Partition-boundary crossings that were served on the local shard by a
     /// replicated hub adjacency instead of shipping the row (0 without hub
@@ -181,28 +169,16 @@ impl ExecResult {
     }
 }
 
-/// The plan interpreter.
+/// The scalar plan interpreter: the oracle.
 pub struct Engine<'a> {
     graph: &'a PropertyGraph,
     config: EngineConfig,
-    /// Simulated placement of the configured partition count: a table-free
-    /// modulo [`PartitionMap`] with no hubs. The parallel engine is the one
-    /// that accounts against real (possibly greedy, hub-replicated) placement.
-    pmap: Option<PartitionMap>,
 }
 
 impl<'a> Engine<'a> {
     /// Create an engine over a graph with the given configuration.
     pub fn new(graph: &'a PropertyGraph, config: EngineConfig) -> Self {
-        let pmap = config
-            .partitions
-            .filter(|&p| p > 1)
-            .map(PartitionMap::modulo);
-        Engine {
-            graph,
-            config,
-            pmap,
-        }
+        Engine { graph, config }
     }
 
     /// The graph being queried.
@@ -245,7 +221,7 @@ impl<'a> Engine<'a> {
             // `panic` action models a crash confined to this query
             let (records, tags) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 failpoint::check(context::FP_OPERATOR).map_err(context::injected)?;
-                self.execute_op(plan.op(*id), &input_ids, &outputs, &mut stats, ctx)
+                self.execute_op(plan.op(*id), &input_ids, &outputs, ctx)
             }))
             .unwrap_or_else(|payload| Err(context::map_panic(payload, name)))?;
             stats.intermediate_records += records.len() as u64;
@@ -291,11 +267,8 @@ impl<'a> Engine<'a> {
         op: &PhysicalOp,
         inputs: &[gopt_gir::physical::PhysicalNodeId],
         outputs: &[Option<(Vec<Record>, TagMap)>],
-        stats: &mut ExecStats,
         ctx: &QueryContext,
     ) -> Result<(Vec<Record>, TagMap), ExecError> {
-        let parts = self.config.partitions;
-        let pm = self.pmap.as_ref();
         match op {
             PhysicalOp::Scan {
                 alias,
@@ -329,9 +302,7 @@ impl<'a> Engine<'a> {
                     dst_predicate,
                     edge_predicate,
                 };
-                let (out, comm) = expand::edge_expand(self.graph, recs, &mut tags, &args, pm)?;
-                stats.comm_records += comm.shipped;
-                stats.locality_hits += comm.local_hits;
+                let out = expand::edge_expand(self.graph, recs, &mut tags, &args)?;
                 Ok((out, tags))
             }
             PhysicalOp::ExpandInto {
@@ -345,7 +316,7 @@ impl<'a> Engine<'a> {
                 let input = Self::take_input("ExpandInto", inputs, outputs, 1)?;
                 let (recs, in_tags) = input[0];
                 let mut tags = in_tags.clone();
-                let (out, comm) = expand::expand_into(
+                let out = expand::expand_into(
                     self.graph,
                     recs,
                     &mut tags,
@@ -355,10 +326,7 @@ impl<'a> Engine<'a> {
                     *direction,
                     edge_alias.as_deref(),
                     edge_predicate,
-                    pm,
                 )?;
-                stats.comm_records += comm.shipped;
-                stats.locality_hits += comm.local_hits;
                 Ok((out, tags))
             }
             PhysicalOp::ExpandIntersect {
@@ -370,7 +338,7 @@ impl<'a> Engine<'a> {
                 let input = Self::take_input("ExpandIntersect", inputs, outputs, 1)?;
                 let (recs, in_tags) = input[0];
                 let mut tags = in_tags.clone();
-                let (out, comm) = expand::expand_intersect(
+                let out = expand::expand_intersect(
                     self.graph,
                     recs,
                     &mut tags,
@@ -378,10 +346,7 @@ impl<'a> Engine<'a> {
                     dst_alias,
                     dst_constraint,
                     dst_predicate,
-                    pm,
                 )?;
-                stats.comm_records += comm.shipped;
-                stats.locality_hits += comm.local_hits;
                 Ok((out, tags))
             }
             PhysicalOp::PathExpand {
@@ -397,7 +362,7 @@ impl<'a> Engine<'a> {
                 let input = Self::take_input("PathExpand", inputs, outputs, 1)?;
                 let (recs, in_tags) = input[0];
                 let mut tags = in_tags.clone();
-                let (out, comm) = expand::path_expand(
+                let out = expand::path_expand(
                     self.graph,
                     recs,
                     &mut tags,
@@ -409,19 +374,14 @@ impl<'a> Engine<'a> {
                     *max_hops,
                     *semantics,
                     path_alias.as_deref(),
-                    pm,
                 )?;
-                stats.comm_records += comm.shipped;
-                stats.locality_hits += comm.local_hits;
                 Ok((out, tags))
             }
             PhysicalOp::HashJoin { keys, kind } => {
                 let input = Self::take_input("HashJoin", inputs, outputs, 2)?;
                 let (l, lt) = input[0];
                 let (r, rt) = input[1];
-                let (out, tags, comm) =
-                    relational::hash_join(self.graph, l, lt, r, rt, keys, *kind, parts)?;
-                stats.comm_records += comm;
+                let (out, tags) = relational::hash_join(l, lt, r, rt, keys, *kind)?;
                 Ok((out, tags))
             }
             PhysicalOp::PropertyFetch { tag, props } => {
@@ -448,9 +408,7 @@ impl<'a> Engine<'a> {
             PhysicalOp::HashGroup { keys, aggs } => {
                 let input = Self::take_input("HashGroup", inputs, outputs, 1)?;
                 let (recs, tags) = input[0];
-                let (out, otags, comm) =
-                    relational::hash_group(self.graph, recs, tags, keys, aggs, parts, ctx)?;
-                stats.comm_records += comm;
+                let (out, otags) = relational::hash_group(self.graph, recs, tags, keys, aggs, ctx)?;
                 Ok((out, otags))
             }
             PhysicalOp::OrderLimit { keys, limit } => {
@@ -489,275 +447,6 @@ impl<'a> Engine<'a> {
                 let pairs: Vec<(&[Record], &TagMap)> =
                     gathered.iter().map(|(r, t)| (r.as_slice(), t)).collect();
                 let (out, tags) = relational::union(&pairs);
-                Ok((out, tags))
-            }
-        }
-    }
-}
-
-/// The vectorized plan interpreter: identical semantics to [`Engine`], but every
-/// operator pulls and pushes [`RecordBatch`]es (struct-of-arrays columns, see
-/// [`crate::batch`]) of at most `batch_size` rows instead of single [`Record`]s.
-///
-/// The scalar [`Engine`] is kept as the behavioural oracle: for every plan both
-/// engines must produce identical rows and identical [`ExecStats`] (except wall-clock
-/// time) — `tests/batch_engine_equivalence.rs` and the `gopt-exec` operator tests
-/// enforce this on all example plans and on randomized plans.
-pub struct BatchEngine<'a> {
-    graph: &'a PropertyGraph,
-    config: EngineConfig,
-    batch_size: usize,
-    /// Simulated modulo placement — see [`Engine`]'s field of the same name.
-    pmap: Option<PartitionMap>,
-}
-
-impl<'a> BatchEngine<'a> {
-    /// Create a batch engine over a graph with the given configuration and the
-    /// default batch size ([`crate::batch::DEFAULT_BATCH_SIZE`]).
-    pub fn new(graph: &'a PropertyGraph, config: EngineConfig) -> Self {
-        let pmap = config
-            .partitions
-            .filter(|&p| p > 1)
-            .map(PartitionMap::modulo);
-        BatchEngine {
-            graph,
-            config,
-            batch_size: crate::batch::DEFAULT_BATCH_SIZE,
-            pmap,
-        }
-    }
-
-    /// Override the maximum number of rows per batch (values below 1 are clamped).
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// The graph being queried.
-    pub fn graph(&self) -> &PropertyGraph {
-        self.graph
-    }
-
-    /// Execute a physical plan, materialising the final batches back into
-    /// records for the uniform [`ExecResult`] interface. Runs under a fresh
-    /// [`QueryContext`] carrying only the engine-level record limit.
-    pub fn execute(&self, plan: &PhysicalPlan) -> Result<ExecResult, ExecError> {
-        self.execute_with_ctx(
-            plan,
-            &QueryContext::new().with_record_limit(self.config.record_limit),
-        )
-    }
-
-    /// Execute a physical plan under `ctx` — the same lifecycle contract as
-    /// [`Engine::execute_with_ctx`], on the vectorized path.
-    pub fn execute_with_ctx(
-        &self,
-        plan: &PhysicalPlan,
-        ctx: &QueryContext,
-    ) -> Result<ExecResult, ExecError> {
-        context::init_failpoints();
-        if plan.is_empty() {
-            return Err(ExecError::EmptyPlan);
-        }
-        let start = Instant::now();
-        let mut stats = ExecStats::default();
-        let order = plan.topo_order();
-        let mut outputs: Vec<Option<(Vec<RecordBatch>, TagMap)>> = vec![None; plan.len()];
-        for id in &order {
-            ctx.check().map_err(ExecError::LimitExceeded)?;
-            let input_ids = plan.inputs(*id).to_vec();
-            let name = op_name(plan.op(*id));
-            // fail-point check inside the unwind boundary: a `panic` action
-            // models a crash confined to this query
-            let (batches, tags) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                failpoint::check(context::FP_OPERATOR).map_err(context::injected)?;
-                self.execute_op(plan.op(*id), &input_ids, &outputs, &mut stats, ctx)
-            }))
-            .unwrap_or_else(|payload| Err(context::map_panic(payload, name)))?;
-            let produced = batch::total_rows(&batches) as u64;
-            stats.intermediate_records += produced;
-            stats.peak_records = stats.peak_records.max(produced);
-            ctx.add_records(produced)
-                .map_err(ExecError::LimitExceeded)?;
-            let bytes: u64 = batches.iter().map(RecordBatch::approx_bytes).sum();
-            ctx.charge_bytes(bytes).map_err(ExecError::LimitExceeded)?;
-            outputs[id.0] = Some((batches, tags));
-        }
-        let (batches, tags) = outputs[plan.root().0]
-            .take()
-            .expect("root was executed last");
-        stats.elapsed_micros = start.elapsed().as_micros();
-        Ok(ExecResult::new(batches, tags, stats))
-    }
-
-    fn take_input<'b>(
-        op: &'static str,
-        inputs: &[gopt_gir::physical::PhysicalNodeId],
-        outputs: &'b [Option<(Vec<RecordBatch>, TagMap)>],
-        n: usize,
-    ) -> Result<Vec<&'b (Vec<RecordBatch>, TagMap)>, ExecError> {
-        if inputs.len() != n {
-            return Err(ExecError::ArityMismatch {
-                op,
-                expected: n,
-                actual: inputs.len(),
-            });
-        }
-        Ok(inputs
-            .iter()
-            .map(|i| {
-                outputs[i.0]
-                    .as_ref()
-                    .expect("inputs executed before consumers")
-            })
-            .collect())
-    }
-
-    fn execute_op(
-        &self,
-        op: &PhysicalOp,
-        inputs: &[gopt_gir::physical::PhysicalNodeId],
-        outputs: &[Option<(Vec<RecordBatch>, TagMap)>],
-        stats: &mut ExecStats,
-        ctx: &QueryContext,
-    ) -> Result<(Vec<RecordBatch>, TagMap), ExecError> {
-        let parts = self.config.partitions;
-        let pm = self.pmap.as_ref();
-        let bs = self.batch_size;
-        match op {
-            PhysicalOp::Scan {
-                alias,
-                constraint,
-                predicate,
-            } => {
-                let mut tags = TagMap::new();
-                let batches =
-                    expand::scan_batches(self.graph, &mut tags, alias, constraint, predicate, bs);
-                Ok((batches, tags))
-            }
-            PhysicalOp::EdgeExpand { .. }
-            | PhysicalOp::ExpandInto { .. }
-            | PhysicalOp::ExpandIntersect { .. } => {
-                let input = Self::take_input(op_name(op), inputs, outputs, 1)?;
-                let (batches, in_tags) = input[0];
-                let mut tags = in_tags.clone();
-                let (out, comm) =
-                    expand::expand_batches(self.graph, batches, &mut tags, op, pm, bs)?;
-                stats.comm_records += comm.shipped;
-                stats.locality_hits += comm.local_hits;
-                Ok((out, tags))
-            }
-            PhysicalOp::PathExpand {
-                src,
-                dst_alias,
-                edge_constraint,
-                direction,
-                min_hops,
-                max_hops,
-                semantics,
-                path_alias,
-            } => {
-                let input = Self::take_input("PathExpand", inputs, outputs, 1)?;
-                let (batches, in_tags) = input[0];
-                let mut tags = in_tags.clone();
-                let (out, comm) = expand::path_expand_batches(
-                    self.graph,
-                    batches,
-                    &mut tags,
-                    src,
-                    dst_alias,
-                    edge_constraint,
-                    *direction,
-                    *min_hops,
-                    *max_hops,
-                    *semantics,
-                    path_alias.as_deref(),
-                    pm,
-                    bs,
-                )?;
-                stats.comm_records += comm.shipped;
-                stats.locality_hits += comm.local_hits;
-                Ok((out, tags))
-            }
-            PhysicalOp::HashJoin { keys, kind } => {
-                let input = Self::take_input("HashJoin", inputs, outputs, 2)?;
-                let (l, lt) = input[0];
-                let (r, rt) = input[1];
-                let (out, tags, comm) = relational::hash_join_batches(
-                    self.graph, l, lt, r, rt, keys, *kind, parts, bs,
-                )?;
-                stats.comm_records += comm;
-                Ok((out, tags))
-            }
-            PhysicalOp::PropertyFetch { tag, props } => {
-                let input = Self::take_input("PropertyFetch", inputs, outputs, 1)?;
-                let (batches, in_tags) = input[0];
-                let mut tags = in_tags.clone();
-                let out =
-                    relational::property_fetch_batches(self.graph, batches, &mut tags, tag, props)?;
-                Ok((out, tags))
-            }
-            PhysicalOp::Select { predicate } => {
-                let input = Self::take_input("Select", inputs, outputs, 1)?;
-                let (batches, tags) = input[0];
-                Ok((
-                    relational::select_batches(self.graph, batches, tags, predicate, bs),
-                    tags.clone(),
-                ))
-            }
-            PhysicalOp::Project { items } => {
-                let input = Self::take_input("Project", inputs, outputs, 1)?;
-                let (batches, tags) = input[0];
-                let (out, otags) = relational::project_batches(self.graph, batches, tags, items);
-                Ok((out, otags))
-            }
-            PhysicalOp::HashGroup { keys, aggs } => {
-                let input = Self::take_input("HashGroup", inputs, outputs, 1)?;
-                let (batches, tags) = input[0];
-                let (out, otags, comm) = relational::hash_group_batches(
-                    self.graph, batches, tags, keys, aggs, parts, bs, ctx,
-                )?;
-                stats.comm_records += comm;
-                Ok((out, otags))
-            }
-            PhysicalOp::OrderLimit { keys, limit } => {
-                let input = Self::take_input("OrderLimit", inputs, outputs, 1)?;
-                let (batches, tags) = input[0];
-                Ok((
-                    relational::order_limit_batches(
-                        self.graph, batches, tags, keys, *limit, bs, ctx,
-                    )?,
-                    tags.clone(),
-                ))
-            }
-            PhysicalOp::Limit { count } => {
-                let input = Self::take_input("Limit", inputs, outputs, 1)?;
-                let (batches, tags) = input[0];
-                Ok((relational::limit_batches(batches, *count), tags.clone()))
-            }
-            PhysicalOp::Dedup { keys } => {
-                let input = Self::take_input("Dedup", inputs, outputs, 1)?;
-                let (batches, tags) = input[0];
-                Ok((
-                    relational::dedup_batches(self.graph, batches, tags, keys, ctx)?,
-                    tags.clone(),
-                ))
-            }
-            PhysicalOp::Union => {
-                if inputs.is_empty() {
-                    return Err(ExecError::ArityMismatch {
-                        op: "Union",
-                        expected: 2,
-                        actual: 0,
-                    });
-                }
-                let gathered: Vec<&(Vec<RecordBatch>, TagMap)> = inputs
-                    .iter()
-                    .map(|i| outputs[i.0].as_ref().expect("inputs executed"))
-                    .collect();
-                let pairs: Vec<(&[RecordBatch], &TagMap)> =
-                    gathered.iter().map(|(b, t)| (b.as_slice(), t)).collect();
-                let (out, tags) = relational::union_batches(&pairs);
                 Ok((out, tags))
             }
         }
@@ -885,36 +574,11 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_execution_counts_communication() {
-        let g = graph();
-        let single = Engine::new(&g, EngineConfig::default())
-            .execute(&plan_group_count(&g))
-            .unwrap();
-        let parted = Engine::new(
-            &g,
-            EngineConfig {
-                partitions: Some(4),
-                record_limit: None,
-            },
-        )
-        .execute(&plan_group_count(&g))
-        .unwrap();
-        assert_eq!(
-            single.sorted_rows(),
-            parted.sorted_rows(),
-            "results identical"
-        );
-        assert!(parted.stats.comm_records > 0);
-        assert_eq!(single.stats.comm_records, 0);
-    }
-
-    #[test]
     fn record_limit_aborts_execution() {
         let g = graph();
         let engine = Engine::new(
             &g,
             EngineConfig {
-                partitions: None,
                 record_limit: Some(3),
             },
         );

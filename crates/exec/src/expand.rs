@@ -8,23 +8,20 @@
 //! * [`expand_intersect`] — GraphScope-style worst-case-optimal intersection expansion;
 //! * [`path_expand`] — variable-length path expansion.
 //!
-//! Each function returns the produced records together with a [`CommTally`]: the
-//! boundary crossings a distributed deployment would incur, split into rows that are
-//! actually shipped and crossings served locally because the destination's
-//! out-adjacency is replicated on every shard (a *hub*, see
-//! [`gopt_graph::HubReplicas`]). Placement comes from the shared [`PartitionMap`]
-//! owner table — no operator assumes modulo placement. With `pm = None` the tally is
-//! always zero.
+//! These scalar forms over `&[Record]` are the oracle's. The morsel engine runs the
+//! same traversal code (`collect_expand_candidates`, `find_connecting_edge`, the
+//! sorted-neighbour intersection, `expand_paths`) as compiled kernels over
+//! `RecordBatch` columns (`ExpandKernel`): source vertices are read from a
+//! contiguous column, predicates are compiled once (tag → slot resolution hoisted
+//! out of the row loop), scratch buffers are reused across morsels, and selection
+//! vectors are gathered column-by-column — same rows, same order.
 //!
-//! Every operator exists in two forms sharing the same traversal code: the scalar form
-//! over `&[Record]` and a batched form over `&[RecordBatch]` columns (`*_batches`; the
-//! three selection-vector expands share [`expand_batches`] and the `ExpandKernel` the
-//! morsel engine also runs). The batched forms are the hot path: they read source
-//! vertices from a contiguous column, evaluate compiled predicates (tag → slot
-//! resolution hoisted out of the row loop), reuse scratch buffers across the whole
-//! input, and emit selection vectors that are gathered column-by-column. The batch
-//! contract: same rows, same order, same `comm` as the scalar form, with output batches
-//! of at most `batch_size` rows.
+//! The kernels also return a [`CommTally`]: the boundary crossings a distributed
+//! deployment would incur, split into rows that are actually shipped and crossings
+//! served locally because the destination's out-adjacency is replicated on every
+//! shard (a *hub*, see [`gopt_graph::HubReplicas`]). Placement comes from the shared
+//! [`PartitionMap`] owner table — no operator assumes modulo placement. With
+//! `pm = None` the tally is always zero.
 
 use crate::record::{Entry, Record, RecordContext, TagMap};
 use gopt_gir::expr::Expr;
@@ -154,7 +151,7 @@ pub(crate) fn edge_labels<G: GraphView>(graph: &G, constraint: &TypeConstraint) 
 
 /// Collect the candidate `(edge, neighbor)` pairs of an edge expansion from
 /// `src` into `candidates`, keeping one (the smallest-id) edge per distinct
-/// neighbour. Shared by the scalar and the batched `EdgeExpand`.
+/// neighbour. Shared by the scalar `EdgeExpand` and its kernel.
 ///
 /// Each CSR (vertex, label) segment is already sorted by (neighbor, edge), so
 /// a single-segment expansion needs neither sort nor copy ordering work; only
@@ -291,7 +288,7 @@ fn intersect_sorted_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>
 
 /// Find one connecting edge between the bound endpoints `s` and `d` over the given
 /// labels/direction: a binary search of the sorted (vertex, label) CSR segment per
-/// candidate endpoint pair. Shared by the scalar and the batched `ExpandInto`.
+/// candidate endpoint pair. Shared by the scalar `ExpandInto` and its kernel.
 pub(crate) fn find_connecting_edge<G: GraphView>(
     graph: &G,
     s: VertexId,
@@ -318,8 +315,8 @@ pub(crate) fn find_connecting_edge<G: GraphView>(
 /// CSR segments, carrying the full vertex path), counting cross-partition steps into
 /// `comm`, and call `emit` for each path of at least `min_hops` hops — in breadth
 /// order: all paths of hop `h`, in frontier order, before any path of hop `h + 1`.
-/// Shared by the scalar and the batched `PathExpand`, which fixes their emission
-/// order and communication accounting to be identical by construction.
+/// Shared by the scalar `PathExpand` and its pipeline stage, which fixes their
+/// emission order to be identical by construction.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn expand_paths<G: GraphView>(
     graph: &G,
@@ -433,8 +430,7 @@ pub fn edge_expand(
     input: &[Record],
     tags: &mut TagMap,
     args: &EdgeExpandArgs<'_>,
-    pm: Option<&PartitionMap>,
-) -> Result<(Vec<Record>, CommTally), crate::error::ExecError> {
+) -> Result<Vec<Record>, crate::error::ExecError> {
     let src_slot = tags
         .slot(args.src)
         .ok_or_else(|| crate::error::ExecError::UnboundTag(args.src.to_string()))?;
@@ -442,7 +438,6 @@ pub fn edge_expand(
     let edge_slot = args.edge_alias.map(|a| tags.slot_or_insert(a));
     let labels = edge_labels(graph, args.edge_constraint);
     let mut out = Vec::new();
-    let mut comm = CommTally::default();
     // Matching follows the paper's vertex-homomorphism semantics: a pattern edge is
     // satisfied when at least one data edge connects the mapped endpoints, so expansion
     // binds each *distinct neighbour* once (parallel edges do not multiply results),
@@ -483,7 +478,6 @@ pub fn edge_expand(
             if let Some(es) = edge_slot {
                 r.set(es, Entry::Edge(edge));
             }
-            charge_crossing(pm, src, neighbor, &mut comm);
             out.push(r);
         };
         collect_expand_candidates(graph, src, &labels, args.direction, &mut candidates);
@@ -491,7 +485,7 @@ pub fn edge_expand(
             emit(edge, neighbor);
         }
     }
-    Ok((out, comm))
+    Ok(out)
 }
 
 /// Close a pattern edge between two already-bound vertices (Neo4j's `ExpandInto`).
@@ -506,8 +500,7 @@ pub fn expand_into(
     direction: Direction,
     edge_alias: Option<&str>,
     edge_predicate: &Option<Expr>,
-    pm: Option<&PartitionMap>,
-) -> Result<(Vec<Record>, CommTally), crate::error::ExecError> {
+) -> Result<Vec<Record>, crate::error::ExecError> {
     let src_slot = tags
         .slot(src)
         .ok_or_else(|| crate::error::ExecError::UnboundTag(src.to_string()))?;
@@ -517,7 +510,6 @@ pub fn expand_into(
     let edge_slot = edge_alias.map(|a| tags.slot_or_insert(a));
     let labels = edge_labels(graph, edge_constraint);
     let mut out = Vec::new();
-    let mut comm = CommTally::default();
     for rec in input {
         let (Some(s), Some(d)) = (rec.get(src_slot).as_vertex(), rec.get(dst_slot).as_vertex())
         else {
@@ -540,14 +532,13 @@ pub fn expand_into(
                 continue;
             }
         }
-        charge_crossing(pm, s, d, &mut comm);
         let mut r = rec.clone();
         if let Some(es) = edge_slot {
             r.set(es, Entry::Edge(e));
         }
         out.push(r);
     }
-    Ok((out, comm))
+    Ok(out)
 }
 
 /// Bind a new vertex by intersecting the adjacency lists of several bound vertices
@@ -561,8 +552,7 @@ pub fn expand_intersect(
     dst_alias: &str,
     dst_constraint: &TypeConstraint,
     dst_predicate: &Option<Expr>,
-    pm: Option<&PartitionMap>,
-) -> Result<(Vec<Record>, CommTally), crate::error::ExecError> {
+) -> Result<Vec<Record>, crate::error::ExecError> {
     let dst_slot = tags.slot_or_insert(dst_alias);
     let mut step_slots = Vec::with_capacity(steps.len());
     for s in steps {
@@ -577,24 +567,12 @@ pub fn expand_intersect(
         .map(|s| edge_labels(graph, &s.edge_constraint))
         .collect();
     let mut out = Vec::new();
-    let mut comm = CommTally::default();
     // scratch buffers reused across all records: the current candidate set,
     // the next step's sorted neighbour list, and the intersection output
     let mut cur: Vec<VertexId> = Vec::new();
     let mut step_buf: Vec<VertexId> = Vec::new();
     let mut merged: Vec<VertexId> = Vec::new();
     for rec in input {
-        // the record is shipped once to perform the intersection when its
-        // non-replica-served step sources span more than one partition
-        if steps.len() > 1 {
-            charge_intersect_row(
-                pm,
-                step_slots.iter().zip(steps).filter_map(|(&slot, step)| {
-                    rec.get(slot).as_vertex().map(|v| (v, step.direction))
-                }),
-                &mut comm,
-            );
-        }
         // intersect the sorted CSR neighbour lists step by step; `initialized`
         // distinguishes "no step ran yet" (no candidates at all) from an empty
         // intersection
@@ -636,7 +614,7 @@ pub fn expand_intersect(
             }
         }
     }
-    Ok((out, comm))
+    Ok(out)
 }
 
 /// Variable-length path expansion from a bound source vertex.
@@ -653,8 +631,7 @@ pub fn path_expand(
     max_hops: u32,
     semantics: PathSemantics,
     path_alias: Option<&str>,
-    pm: Option<&PartitionMap>,
-) -> Result<(Vec<Record>, CommTally), crate::error::ExecError> {
+) -> Result<Vec<Record>, crate::error::ExecError> {
     let src_slot = tags
         .slot(src)
         .ok_or_else(|| crate::error::ExecError::UnboundTag(src.to_string()))?;
@@ -662,7 +639,6 @@ pub fn path_expand(
     let path_slot = path_alias.map(|a| tags.slot_or_insert(a));
     let labels = edge_labels(graph, edge_constraint);
     let mut out = Vec::new();
-    let mut comm = CommTally::default();
     for rec in input {
         let Some(start) = rec.get(src_slot).as_vertex() else {
             continue;
@@ -675,8 +651,8 @@ pub fn path_expand(
             min_hops,
             max_hops,
             semantics,
-            pm,
-            &mut comm,
+            None,
+            &mut CommTally::default(),
             |path| {
                 let dst = *path.last().expect("non-empty");
                 let mut r = rec.with(dst_slot, Entry::Vertex(dst));
@@ -687,22 +663,21 @@ pub fn path_expand(
             },
         );
     }
-    Ok((out, comm))
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
-// Batched (vectorized) variants
+// Compiled kernels over record batches
 // ---------------------------------------------------------------------------
 //
-// Same algorithms and — bit for bit — the same emission order, predicates and
-// communication accounting as the scalar functions above, but over
-// `RecordBatch` columns: the source vertices of a whole batch are read from
-// one contiguous column, predicates are compiled once per operator call
-// (tag → slot resolution hoisted out of the row loop), and outputs are built
-// as selection vectors + fresh columns that are gathered column-by-column
-// instead of cloning a `Vec<Entry>` per row.
+// Same algorithms and — bit for bit — the same emission order and predicates
+// as the scalar functions above, but over `RecordBatch` columns: the source
+// vertices of a whole batch are read from one contiguous column, predicates
+// are compiled once per operator (tag → slot resolution hoisted out of the
+// row loop), and outputs are built as selection vectors + fresh columns that
+// are gathered column-by-column instead of cloning a `Vec<Entry>` per row.
 
-use crate::batch::{BatchBuilder, BatchRow, Column, CompiledExpr, EntryRef, RecordBatch};
+use crate::batch::{BatchRow, Column, CompiledExpr, EntryRef, RecordBatch};
 
 /// Whether `row` (with `overrides` on top) satisfies an optional predicate.
 fn passes<G: GraphView>(
@@ -738,66 +713,6 @@ fn batch_vertex_matches<G: GraphView>(
         && passes(predicate, graph, batch, row, &[(slot, EntryRef::Vertex(v))])
 }
 
-/// Batched [`scan`]: one vertex-id column per output batch.
-pub fn scan_batches<G: GraphView>(
-    graph: &G,
-    tags: &mut TagMap,
-    alias: &str,
-    constraint: &TypeConstraint,
-    predicate: &Option<Expr>,
-    batch_size: usize,
-) -> Vec<RecordBatch> {
-    let slot = tags.slot_or_insert(alias);
-    let width = tags.len();
-    let labels: Vec<LabelId> =
-        constraint.materialize(&graph.schema().vertex_label_ids().collect::<Vec<_>>());
-    let compiled = predicate
-        .as_ref()
-        .map(|p| CompiledExpr::compile(p, tags, graph));
-    let probe = RecordBatch::new(width);
-    let mut kept: Vec<VertexId> = Vec::new();
-    let mut out = Vec::new();
-    let flush = |kept: &mut Vec<VertexId>, out: &mut Vec<RecordBatch>, force: bool| {
-        while kept.len() >= batch_size || (force && !kept.is_empty()) {
-            let take = kept.len().min(batch_size);
-            let rest = kept.split_off(take);
-            let ids = std::mem::replace(kept, rest);
-            let mut batch = RecordBatch::new(0);
-            batch.set_column(slot, Column::vertices(ids));
-            if batch.width() < width {
-                let rows = batch.rows();
-                batch.set_column(width - 1, Column::nulls(rows));
-            }
-            out.push(batch);
-        }
-    };
-    for l in labels {
-        for &v in graph.vertices_with_label(l) {
-            if !constraint.contains(graph.vertex_label(v)) {
-                continue;
-            }
-            let matches = match &compiled {
-                None => true,
-                Some(p) => {
-                    let overrides = [(slot, EntryRef::Vertex(v))];
-                    p.eval_predicate(&BatchRow {
-                        graph,
-                        batch: &probe,
-                        row: 0,
-                        overrides: &overrides,
-                    })
-                }
-            };
-            if matches {
-                kept.push(v);
-                flush(&mut kept, &mut out, false);
-            }
-        }
-    }
-    flush(&mut kept, &mut out, true);
-    out
-}
-
 /// Buffers of one [`ExpandKernel::run`]: the selection vector (input row per
 /// output row, ascending) with the new destination / edge values beside it,
 /// plus the kernels' internal scratch. A worker keeps one per stage and
@@ -817,8 +732,8 @@ pub(crate) struct KernelScratch {
 
 /// A selection-vector expand (`EdgeExpand`, `ExpandInto`, `ExpandIntersect`)
 /// with tags resolved, labels materialized and predicates compiled — all that
-/// is hoisted out of the per-batch kernel. The batched engine runs it batch
-/// after batch; the morsel engine as a fused pipeline stage.
+/// is hoisted out of the per-batch kernel. The morsel engine runs it as a
+/// fused pipeline stage.
 pub(crate) enum ExpandKernel<'p> {
     Edge(EdgeKernel<'p>),
     Into(EdgeKernel<'p>),
@@ -1086,92 +1001,6 @@ impl<'p> ExpandKernel<'p> {
     }
 }
 
-/// The batched form of [`edge_expand`], [`expand_into`] and
-/// [`expand_intersect`]: compile `op` once, run its kernel batch after batch
-/// with one scratch, gather each selection vector column-wise.
-pub fn expand_batches<G: GraphView>(
-    graph: &G,
-    input: &[RecordBatch],
-    tags: &mut TagMap,
-    op: &gopt_gir::physical::PhysicalOp,
-    pm: Option<&PartitionMap>,
-    batch_size: usize,
-) -> Result<(Vec<RecordBatch>, CommTally), crate::error::ExecError> {
-    let kernel = ExpandKernel::compile(graph, op, tags)?.expect("a selection-vector expand");
-    let live = vec![true; tags.len()];
-    let mut s = KernelScratch::default();
-    let mut out = Vec::new();
-    let mut comm = CommTally::default();
-    for batch in input {
-        comm += kernel.run(graph, batch, pm, &mut s);
-        out.extend(kernel.emit(batch, &s, &live, batch_size));
-    }
-    Ok((out, comm))
-}
-
-/// Batched [`path_expand`]: paths are emitted into a flattened
-/// offsets + vertex-pool column.
-#[allow(clippy::too_many_arguments)]
-pub fn path_expand_batches<G: GraphView>(
-    graph: &G,
-    input: &[RecordBatch],
-    tags: &mut TagMap,
-    src: &str,
-    dst_alias: &str,
-    edge_constraint: &TypeConstraint,
-    direction: Direction,
-    min_hops: u32,
-    max_hops: u32,
-    semantics: PathSemantics,
-    path_alias: Option<&str>,
-    pm: Option<&PartitionMap>,
-    batch_size: usize,
-) -> Result<(Vec<RecordBatch>, CommTally), crate::error::ExecError> {
-    let src_slot = tags
-        .slot(src)
-        .ok_or_else(|| crate::error::ExecError::UnboundTag(src.to_string()))?;
-    let dst_slot = tags.slot_or_insert(dst_alias);
-    let path_slot = path_alias.map(|a| tags.slot_or_insert(a));
-    let labels = edge_labels(graph, edge_constraint);
-    let mut builder = BatchBuilder::new(tags.len(), batch_size);
-    let mut comm = CommTally::default();
-    for batch in input {
-        for row in 0..batch.rows() {
-            let Some(start) = batch.entry(src_slot, row).as_vertex() else {
-                continue;
-            };
-            expand_paths(
-                graph,
-                start,
-                &labels,
-                direction,
-                min_hops,
-                max_hops,
-                semantics,
-                pm,
-                &mut comm,
-                |path| {
-                    let dst = *path.last().expect("non-empty");
-                    // stack-allocated overrides: no per-output-row heap traffic
-                    let mut overrides = [
-                        (dst_slot, EntryRef::Vertex(dst)),
-                        (usize::MAX, EntryRef::Null),
-                    ];
-                    let used = match path_slot {
-                        Some(ps) => {
-                            overrides[1] = (ps, EntryRef::Path(path));
-                            2
-                        }
-                        None => 1,
-                    };
-                    builder.push_row_from(batch, row, &overrides[..used]);
-                },
-            );
-        }
-    }
-    Ok((builder.finish(), comm))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1249,9 +1078,8 @@ mod tests {
             dst_predicate: &None,
             edge_predicate: &None,
         };
-        let (out, comm0) = edge_expand(&g, &input, &mut tags, &args, None).unwrap();
+        let out = edge_expand(&g, &input, &mut tags, &args).unwrap();
         assert_eq!(out.len(), 4, "four Knows edges");
-        assert_eq!(comm0, CommTally::default());
         // every output has the edge bound
         assert!(out
             .iter()
@@ -1269,7 +1097,7 @@ mod tests {
             dst_predicate: &None,
             edge_predicate: &None,
         };
-        let (out, _) = edge_expand(&g, &input, &mut tags, &args, None).unwrap();
+        let out = edge_expand(&g, &input, &mut tags, &args).unwrap();
         assert_eq!(out.len(), 4);
 
         let mut tags = TagMap::new();
@@ -1284,29 +1112,12 @@ mod tests {
             dst_predicate: &None,
             edge_predicate: &None,
         };
-        let (out, _) = edge_expand(&g, &input, &mut tags, &args, None).unwrap();
+        let out = edge_expand(&g, &input, &mut tags, &args).unwrap();
         assert_eq!(out.len(), 8);
-
-        // partitioned: some expansions cross partitions
-        let mut tags = TagMap::new();
-        let input = scan(&g, &mut tags, "a", &person(&g), &None);
-        let args = EdgeExpandArgs {
-            src: "a",
-            edge_alias: None,
-            edge_constraint: &knows(&g),
-            direction: Direction::Out,
-            dst_alias: "b",
-            dst_constraint: &person(&g),
-            dst_predicate: &None,
-            edge_predicate: &None,
-        };
-        let pm2 = PartitionMap::modulo(2);
-        let (_, comm) = edge_expand(&g, &input, &mut tags, &args, Some(&pm2)).unwrap();
-        assert!(comm.shipped > 0);
 
         // unbound source tag errors
         let mut tags = TagMap::new();
-        let err = edge_expand(&g, &[], &mut tags, &args, None);
+        let err = edge_expand(&g, &[], &mut tags, &args);
         assert!(err.is_err());
     }
 
@@ -1323,7 +1134,7 @@ mod tests {
         let mut r2 = Record::new();
         r2.set(sa, Entry::Vertex(VertexId(1)));
         r2.set(sb, Entry::Vertex(VertexId(0)));
-        let (out, _) = expand_into(
+        let out = expand_into(
             &g,
             &[r1.clone(), r2.clone()],
             &mut tags,
@@ -1333,7 +1144,6 @@ mod tests {
             Direction::Out,
             Some("e"),
             &None,
-            None,
         )
         .unwrap();
         assert_eq!(out.len(), 1);
@@ -1341,7 +1151,7 @@ mod tests {
         let mut tags2 = TagMap::new();
         tags2.slot_or_insert("a");
         tags2.slot_or_insert("b");
-        let (out, _) = expand_into(
+        let out = expand_into(
             &g,
             &[r1, r2],
             &mut tags2,
@@ -1351,7 +1161,6 @@ mod tests {
             Direction::Both,
             None,
             &None,
-            None,
         )
         .unwrap();
         assert_eq!(out.len(), 2);
@@ -1381,17 +1190,8 @@ mod tests {
                 edge_alias: None,
             },
         ];
-        let (out, _) = expand_intersect(
-            &g,
-            &[r.clone()],
-            &mut tags,
-            &steps,
-            "c",
-            &person(&g),
-            &None,
-            None,
-        )
-        .unwrap();
+        let out =
+            expand_intersect(&g, &[r.clone()], &mut tags, &steps, "c", &person(&g), &None).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(
             out[0].get(tags.slot("c").unwrap()).as_vertex(),
@@ -1401,35 +1201,17 @@ mod tests {
         let mut tags2 = TagMap::new();
         tags2.slot_or_insert("a");
         tags2.slot_or_insert("b");
-        let (out, _) = expand_intersect(
+        let out = expand_intersect(
             &g,
-            &[r.clone()],
+            &[r],
             &mut tags2,
             &steps,
             "c",
             &person(&g),
             &Some(Expr::prop_eq("c", "name", "nonexistent")),
-            None,
         )
         .unwrap();
         assert!(out.is_empty());
-        // partitioned intersection counts a shuffle when sources land on different partitions
-        let mut tags3 = TagMap::new();
-        tags3.slot_or_insert("a");
-        tags3.slot_or_insert("b");
-        let pm2 = PartitionMap::modulo(2);
-        let (_, comm) = expand_intersect(
-            &g,
-            &[r],
-            &mut tags3,
-            &steps,
-            "c",
-            &person(&g),
-            &None,
-            Some(&pm2),
-        )
-        .unwrap();
-        assert_eq!(comm.shipped, 1);
     }
 
     #[test]
@@ -1440,7 +1222,7 @@ mod tests {
         let mut r = Record::new();
         r.set(sa, Entry::Vertex(VertexId(0)));
         // arbitrary paths of exactly 2 hops over Knows from p0: p0->1->2, p0->2->3 = 2
-        let (out, _) = path_expand(
+        let out = path_expand(
             &g,
             &[r.clone()],
             &mut tags,
@@ -1452,7 +1234,6 @@ mod tests {
             2,
             PathSemantics::Arbitrary,
             Some("path"),
-            None,
         )
         .unwrap();
         assert_eq!(out.len(), 2);
@@ -1461,7 +1242,7 @@ mod tests {
         // 1..2 hops includes the three 1-hop results as well
         let mut tags2 = TagMap::new();
         tags2.slot_or_insert("a");
-        let (out, _) = path_expand(
+        let out = path_expand(
             &g,
             &[r],
             &mut tags2,
@@ -1472,7 +1253,6 @@ mod tests {
             1,
             2,
             PathSemantics::Simple,
-            None,
             None,
         )
         .unwrap();

@@ -25,7 +25,8 @@
 //! handle (non-element columns, [`TypedColumn::Mixed`] is handled but other
 //! entry kinds are not) — the caller then falls back to the row-wise
 //! [`CompiledExpr`] oracle. Equivalence with the oracle is enforced by the
-//! engine-level suites (`tests/batch_engine_equivalence.rs`).
+//! unit tests below and by the engine-level suites
+//! (`tests/parallel_equivalence.rs`).
 
 use crate::batch::{Bitmap, ColumnData, CompiledExpr, RecordBatch};
 use gopt_gir::expr::BinOp;

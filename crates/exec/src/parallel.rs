@@ -1,9 +1,10 @@
-//! Morsel-driven parallel execution over partition-aware graph storage.
+//! Morsel-driven execution over any graph storage.
 //!
-//! [`ParallelEngine`] interprets a [`PhysicalPlan`] against a
-//! [`PartitionedGraph`] — the sharded CSR storage of `gopt_graph::partition` —
-//! with a fixed pool of worker threads. The unit of scheduling is the
-//! *morsel*: one [`RecordBatch`] of at most `batch_size` rows.
+//! [`ParallelEngine`] interprets a [`PhysicalPlan`] against a [`GraphView`] —
+//! the monolithic [`PropertyGraph`] or the sharded [`PartitionedGraph`] — with
+//! a fixed pool of worker threads. It is the one production interpreter: both
+//! backends run it. The unit of scheduling is the *morsel*: one
+//! [`RecordBatch`] of at most `batch_size` rows.
 //!
 //! # Execution model
 //!
@@ -17,21 +18,22 @@
 //! output is dropped (its metered bytes returned to the [`QueryContext`]) as
 //! soon as its last reader has run.
 //!
-//! One driver serves every partition count, and expands stream at every
-//! partition count: the kernels read adjacency and properties through the
-//! graph's [`GraphView`], which locates each vertex's owning [`GraphShard`]
-//! (or a hub's local replica) itself, so no row is moved to be expanded and
-//! rows never leave the oracle's order. `HashJoin`, `Union` and a live
+//! One driver serves every storage layout and partition count, and expands
+//! stream at every partition count: the kernels read adjacency and
+//! properties through the graph's [`GraphView`], which on sharded storage
+//! locates each vertex's owning [`GraphShard`] (or a hub's local replica)
+//! itself, so no row is moved to be expanded and rows never leave the
+//! oracle's order. `HashJoin`, `Union` and a live
 //! `PropertyFetch` read their materialized inputs at the coordinator.
 //!
 //! # Measured communication
 //!
 //! `ExecStats::comm_records` counts the rows a multi-process deployment of
 //! the same placement would ship between shards. Every charge is a pure
-//! function of one batch and the graph's [`PartitionMap`] — the placement
-//! oracle the kernels share, for the modulo [`HashPartitioner`] and the
-//! owner tables of a [`GreedyPartitioner`] alike — never of thread count or
-//! scheduling:
+//! function of one batch and the graph's [`PartitionMap`]
+//! ([`GraphView::placement`]) — the placement oracle the kernels share, for
+//! the modulo [`HashPartitioner`] and the owner tables of a
+//! [`GreedyPartitioner`] alike — never of thread count or scheduling:
 //!
 //! 1. **Route alignment**: a batch entering an expand is routed to the shard
 //!    owning each row's routing vertex (the expansion source; an
@@ -49,17 +51,19 @@
 //!    not homed there ships.
 //!
 //! Crossings a hub replica serves accumulate into `ExecStats::locality_hits`
-//! rather than `comm_records`, and `ExecStats::replicated_bytes` reports the
-//! storage price of the replica overlay. `ExecStats::comm_bytes` charges a
-//! shipped row its batch's per-row share of [`RecordBatch::approx_bytes`]
-//! (integer arithmetic, see `ship_bytes`); an expand boundary charges the
-//! share of the expand's output. With one partition nothing is charged.
+//! rather than `comm_records`. `ExecStats::comm_bytes` charges a shipped row
+//! its batch's per-row share of [`RecordBatch::approx_bytes`] (integer
+//! arithmetic, see `ship_bytes`); an expand boundary charges the share of
+//! the expand's output. Storage without a placement, or with one partition,
+//! is charged nothing.
 //!
 //! The `exec.exchange` fail point fires once per batch entering an expand
 //! stage with more than one partition — where a multi-process deployment
 //! would route it.
 //!
 //! [`Engine`]: crate::engine::Engine
+//! [`PropertyGraph`]: gopt_graph::PropertyGraph
+//! [`PartitionedGraph`]: gopt_graph::PartitionedGraph
 //! [`GraphShard`]: gopt_graph::GraphShard
 //! [`HashPartitioner`]: gopt_graph::HashPartitioner
 //! [`GreedyPartitioner`]: gopt_graph::GreedyPartitioner
@@ -76,7 +80,7 @@ use crate::relational;
 use crate::sink::Sink;
 use gopt_gir::pattern::Direction;
 use gopt_gir::physical::{PhysicalNodeId, PhysicalOp, PhysicalPlan};
-use gopt_graph::{GraphView, PartitionMap, PartitionedGraph, VertexId};
+use gopt_graph::{GraphView, PartitionMap, VertexId};
 use parking_lot::{Condvar, Mutex};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -405,6 +409,19 @@ pub(crate) fn ship_bytes(bytes: u64, rows: u64, moved: u64) -> u64 {
     ((bytes as u128 * moved as u128) / rows as u128) as u64
 }
 
+/// The partition a row currently sits on under `pm`.
+#[inline]
+fn row_home(pm: &PartitionMap, batch: &RecordBatch, row: usize, home: Home) -> usize {
+    match home {
+        Home::Coordinator => 0,
+        Home::Tag(slot) => batch
+            .entry(slot, row)
+            .as_vertex()
+            .map(|v| pm.partition_of(v))
+            .unwrap_or(0),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
@@ -439,15 +456,18 @@ impl Drop for AbortOnUnwind<'_> {
     }
 }
 
-/// The morsel-driven parallel interpreter over a [`PartitionedGraph`].
+/// The morsel-driven interpreter over any [`GraphView`].
 ///
-/// Produces exactly the rows (and row order) of the sequential engines — the
-/// scalar [`crate::engine::Engine`] on a single partition is the behavioural
-/// oracle — while reading adjacency and vertex properties from per-partition
-/// shards and measuring real cross-shard row movement into
-/// [`ExecStats::comm_records`].
-pub struct ParallelEngine<'g> {
-    graph: &'g PartitionedGraph,
+/// Produces exactly the rows (and row order) of the scalar
+/// [`crate::engine::Engine`], the behavioural oracle. Over sharded storage it
+/// reads adjacency and vertex properties from per-partition shards and
+/// measures cross-shard row movement into [`ExecStats::comm_records`].
+pub struct ParallelEngine<'g, G> {
+    graph: &'g G,
+    /// The graph's placement when it has more than one partition: what
+    /// routes, expand boundaries and gathers are charged against. `None`:
+    /// nothing crosses a partition, so nothing is charged.
+    pmap: Option<&'g PartitionMap>,
     record_limit: Option<u64>,
     threads: usize,
     batch_size: usize,
@@ -460,12 +480,14 @@ pub struct ParallelEngine<'g> {
     owned: Mutex<Option<Arc<WorkerPool>>>,
 }
 
-impl<'g> ParallelEngine<'g> {
-    /// Create an engine over sharded storage with one thread and the default
+impl<'g, G: GraphView> ParallelEngine<'g, G> {
+    /// Create an engine over `graph`, charging communication against its
+    /// [`placement`](GraphView::placement), with one thread and the default
     /// morsel size.
-    pub fn new(graph: &'g PartitionedGraph) -> Self {
+    pub fn new(graph: &'g G) -> Self {
         ParallelEngine {
             graph,
+            pmap: graph.placement().filter(|pm| pm.partitions() > 1),
             record_limit: None,
             threads: 1,
             batch_size: DEFAULT_BATCH_SIZE,
@@ -503,8 +525,8 @@ impl<'g> ParallelEngine<'g> {
         self
     }
 
-    /// The sharded graph being queried.
-    pub fn graph(&self) -> &'g PartitionedGraph {
+    /// The graph being queried.
+    pub fn graph(&self) -> &'g G {
         self.graph
     }
 
@@ -545,12 +567,7 @@ impl<'g> ParallelEngine<'g> {
                 })),
             };
         let pool = &*pool;
-        // replicated_bytes is the storage price of the hub replica overlay
-        // this graph carries — constant per deployment, reported per query
-        let mut stats = ExecStats {
-            replicated_bytes: self.graph.replicated_bytes(),
-            ..Default::default()
-        };
+        let mut stats = ExecStats::default();
         let live = pipeline::liveness(plan);
         let units = pipeline::cut(plan, &live);
         // units still to read each materialized output
@@ -597,37 +614,25 @@ impl<'g> ParallelEngine<'g> {
         Ok(ExecResult::new(batches, tags, stats))
     }
 
-    /// The graph's placement oracle, in the form the expansion kernels take.
+    /// The placement the expansion kernels charge boundary crossings
+    /// against.
     #[inline]
-    pub(crate) fn pmap(&self) -> Option<&PartitionMap> {
-        Some(self.graph.partition_map())
-    }
-
-    /// The partition a row currently sits on.
-    #[inline]
-    fn row_home(&self, batch: &RecordBatch, row: usize, home: Home) -> usize {
-        match home {
-            Home::Coordinator => 0,
-            Home::Tag(slot) => batch
-                .entry(slot, row)
-                .as_vertex()
-                .map(|v| self.graph.partition_of(v))
-                .unwrap_or(0),
-        }
+    pub(crate) fn pmap(&self) -> Option<&'g PartitionMap> {
+        self.pmap
     }
 
     /// Measured (rows, bytes) shipped when gathering a node's output at the
     /// coordinator (pipeline breakers, joins, unions). Bytes are each moved
     /// row's share of its batch's `approx_bytes`.
     pub(crate) fn gather_comm(&self, batches: &[RecordBatch], home: Home) -> (u64, u64) {
-        if self.graph.partitions() <= 1 || home == Home::Coordinator {
+        let Some(pm) = self.pmap.filter(|_| home != Home::Coordinator) else {
             return (0, 0);
-        }
+        };
         let mut records = 0u64;
         let mut bytes = 0u64;
         for b in batches {
             let moved = (0..b.rows())
-                .filter(|&r| self.row_home(b, r, home) != 0)
+                .filter(|&r| row_home(pm, b, r, home) != 0)
                 .count() as u64;
             records += moved;
             bytes += ship_bytes(b.approx_bytes(), b.rows() as u64, moved);
@@ -648,18 +653,15 @@ impl<'g> ParallelEngine<'g> {
     /// `exec.exchange` and returns what that route ships: the rows not
     /// already on the owning shard (and their byte share), except that a
     /// replicated hub read in the `Out` direction serves its row locally, as
-    /// a locality hit. `None` with one partition, where nothing is routed.
+    /// a locality hit. `None` without a placement, where nothing is routed.
     pub(crate) fn route(
         &self,
         batch: &RecordBatch,
         (slot, dir): (usize, Direction),
         home: Home,
     ) -> Option<(CommTally, u64)> {
-        if self.graph.partitions() <= 1 {
-            return None;
-        }
+        let pm = self.pmap?;
         context::task_failpoint(context::FP_EXCHANGE);
-        let pm = self.graph.partition_map();
         let mut comm = CommTally::default();
         // rows homed by the routing vertex already sit on its owner
         if home != Home::Tag(slot) {
@@ -667,7 +669,7 @@ impl<'g> ParallelEngine<'g> {
                 let Some(v) = batch.entry(slot, row).as_vertex() else {
                     continue;
                 };
-                if self.row_home(batch, row, home) == pm.partition_of(v) {
+                if row_home(pm, batch, row, home) == pm.partition_of(v) {
                     continue;
                 }
                 if dir == Direction::Out && pm.is_hub(v) {
@@ -692,8 +694,10 @@ impl<'g> ParallelEngine<'g> {
         sel: &[u32],
         dst: &[VertexId],
     ) -> CommTally {
-        let pm = self.graph.partition_map();
         let mut comm = CommTally::default();
+        let Some(pm) = self.pmap else {
+            return comm;
+        };
         for (&row, &d) in sel.iter().zip(dst) {
             let Some(src) = batch.entry(slot, row as usize).as_vertex() else {
                 continue;
@@ -711,11 +715,11 @@ impl<'g> ParallelEngine<'g> {
     }
 
     /// The live slots of an output with tags `tags`: what its readers name,
-    /// plus — with more than one partition — the slot the rows are homed by,
-    /// which route and gather accounting read.
+    /// plus — under a placement — the slot the rows are homed by, which
+    /// route and gather accounting read.
     fn out_mask(&self, live: &Live, tags: &TagMap, home: Home) -> Vec<bool> {
         let mut mask = pipeline::mask(live, tags);
-        if let (Home::Tag(slot), true) = (home, self.graph.partitions() > 1) {
+        if let (Home::Tag(slot), Some(_)) = (home, self.pmap) {
             mask[slot] = true;
         }
         mask
@@ -762,15 +766,13 @@ impl<'g> ParallelEngine<'g> {
                     let (l, r) = (inputs[0], inputs[1]);
                     self.charge_gather(stats, &l.batches, l.home);
                     self.charge_gather(stats, &r.batches, r.home);
-                    let (batches, tags, _) = relational::hash_join_batches(
-                        self.graph,
+                    let (batches, tags) = relational::hash_join_batches(
                         &l.batches,
                         &l.tags,
                         &r.batches,
                         &r.tags,
                         keys,
                         *kind,
-                        None,
                         self.batch_size,
                     )?;
                     (batches, tags, Home::Coordinator)
@@ -954,7 +956,7 @@ mod tests {
     use gopt_gir::types::TypeConstraint;
     use gopt_graph::generator::{random_graph, RandomGraphConfig};
     use gopt_graph::schema::fig6_schema;
-    use gopt_graph::PropertyGraph;
+    use gopt_graph::{PartitionedGraph, PropertyGraph};
 
     fn graph() -> PropertyGraph {
         random_graph(

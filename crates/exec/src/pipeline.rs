@@ -355,8 +355,8 @@ impl<'p> Stage<'p> {
 
 /// A compiled pipeline: the stages a morsel runs through, each with the live
 /// slots of its output, and the sink that takes what comes out.
-pub(crate) struct Pipeline<'a, 'p> {
-    pub(crate) engine: &'a ParallelEngine<'a>,
+pub(crate) struct Pipeline<'a, 'p, G> {
+    pub(crate) engine: &'a ParallelEngine<'a, G>,
     pub(crate) ctx: &'a QueryContext,
     pub(crate) stages: &'a [(Stage<'p>, Vec<bool>)],
     pub(crate) sink: &'a Sink<'p>,
@@ -392,16 +392,16 @@ fn abort_on<T>(r: Result<T, LimitReason>) -> T {
 
 /// One worker's side of a pipeline: per-stage kernel scratch reused across
 /// the morsels it claims, and its counters.
-pub(crate) struct Worker<'a, 'p> {
-    p: &'a Pipeline<'a, 'p>,
+pub(crate) struct Worker<'a, 'p, G> {
+    p: &'a Pipeline<'a, 'p, G>,
     scratch: Vec<KernelScratch>,
     sel: Vec<u32>,
     pub(crate) tally: Tally,
     morsel: usize,
 }
 
-impl<'a, 'p> Worker<'a, 'p> {
-    pub(crate) fn new(p: &'a Pipeline<'a, 'p>) -> Self {
+impl<'a, 'p, G: GraphView> Worker<'a, 'p, G> {
+    pub(crate) fn new(p: &'a Pipeline<'a, 'p, G>) -> Self {
         Worker {
             p,
             scratch: p.stages.iter().map(|_| KernelScratch::default()).collect(),

@@ -1,18 +1,16 @@
 //! Relational physical operators: select, project, aggregation, ordering, joins, union.
 //!
-//! These operate on [`Record`]s and evaluate GIR expressions through
+//! The scalar forms operate on [`Record`]s and evaluate GIR expressions through
 //! [`RecordContext`], so predicates and projections can freely mix graph property access
-//! with computed values. Join/aggregation operators report the number of records that a
-//! partitioned deployment would need to shuffle, which the partitioned backend counts as
-//! communication cost.
+//! with computed values. They are the oracle's.
 //!
-//! Like the expand operators, each function has a batched twin (`*_batches`) operating
-//! on `RecordBatch` columns: predicates/projections/keys are compiled once per call,
-//! filters and deduplication produce selection vectors, sorting permutes row indices,
-//! and the pipeline breakers (group/order/join) consume all input batches but stream
-//! their output back out in `batch_size` chunks. The batch contract is the same as for
-//! the expand operators: identical rows, order, and shuffle accounting as the scalar
-//! form.
+//! The morsel engine runs `Select` as a pipeline stage and `HashGroup`, `OrderLimit`,
+//! `Dedup` and `Limit` as sinks (`crate::sink`), built on the shared helpers here:
+//! compiled-expression evaluation (`batch_eval`), packed group/sort keys,
+//! accumulators and the sort-key comparator. Four operators still have a batched
+//! form the engine calls directly on `RecordBatch` columns: [`project_batches`],
+//! [`property_fetch_batches`], [`union_batches`] and [`hash_join_batches`]. Every
+//! form emits the scalar form's rows in the scalar form's order.
 
 use crate::context::{QueryContext, Ticker};
 use crate::error::ExecError;
@@ -156,9 +154,8 @@ pub fn hash_group(
     tags: &TagMap,
     keys: &[(Expr, String)],
     aggs: &[(AggFunc, Expr, String)],
-    partitions: Option<usize>,
     ctx: &QueryContext,
-) -> Result<(Vec<Record>, TagMap, u64), ExecError> {
+) -> Result<(Vec<Record>, TagMap), ExecError> {
     let mut out_tags = TagMap::new();
     let mut key_passthrough: Vec<Option<usize>> = Vec::new();
     for (expr, alias) in keys {
@@ -171,10 +168,6 @@ pub fn hash_group(
     for (_, _, alias) in aggs {
         out_tags.slot_or_insert(alias);
     }
-    let comm = match partitions {
-        Some(p) if p > 1 => input.len() as u64,
-        _ => 0,
-    };
     // group index: key values -> (representative key entries, accumulators)
     let mut groups: HashMap<Vec<PropValue>, (Vec<Entry>, Vec<Accumulator>)> = HashMap::new();
     let mut group_order: Vec<Vec<PropValue>> = Vec::new();
@@ -223,7 +216,7 @@ pub fn hash_group(
             rec
         })
         .collect();
-    Ok((records, out_tags, comm))
+    Ok((records, out_tags))
 }
 
 /// Aggregate accumulator.
@@ -343,7 +336,7 @@ pub fn order_limit(
 }
 
 /// Compare two evaluated sort-key rows under the per-key directions — the one
-/// comparator every ordering path (scalar, batched, parallel merge) shares.
+/// comparator every ordering path (the scalar sort, the sink's run merge) shares.
 pub(crate) fn cmp_sort_keys(
     a: &[PropValue],
     b: &[PropValue],
@@ -365,8 +358,8 @@ pub(crate) fn cmp_sort_keys(
 /// The row width keyless `Dedup` compares over: every tag slot, plus any
 /// physical slots beyond the tag map. Records shorter than this are padded
 /// with nulls, so two records representing the same logical row compare equal
-/// regardless of their physical entry-vector length. Extracted so the scalar,
-/// batched and parallel deduplication paths cannot drift on the invariant.
+/// regardless of their physical entry-vector length. Extracted so the scalar and
+/// pipeline deduplication paths cannot drift on the invariant.
 pub(crate) fn keyless_dedup_width(tags: &TagMap, physical_len: usize) -> usize {
     tags.len().max(physical_len)
 }
@@ -382,7 +375,7 @@ pub fn limit(input: &[Record], count: usize) -> Vec<Record> {
 /// Keyless deduplication compares rows over all `tags.len()` slots (padding short
 /// records with nulls), so two records representing the same logical row compare equal
 /// regardless of their physical entry-vector length — this keeps the scalar and the
-/// batched engine (where every row always spans the full batch width) in agreement.
+/// morsel engine (where every row always spans the full batch width) in agreement.
 pub fn dedup(
     graph: &PropertyGraph,
     input: &[Record],
@@ -437,18 +430,14 @@ pub fn union(inputs: &[(&[Record], &TagMap)]) -> (Vec<Record>, TagMap) {
 }
 
 /// Hash join of two inputs on equality of `keys` (tags bound on both sides).
-#[allow(clippy::too_many_arguments)]
 pub fn hash_join(
-    graph: &PropertyGraph,
     left: &[Record],
     left_tags: &TagMap,
     right: &[Record],
     right_tags: &TagMap,
     keys: &[String],
     kind: JoinType,
-    partitions: Option<usize>,
-) -> Result<(Vec<Record>, TagMap, u64), ExecError> {
-    let _ = graph;
+) -> Result<(Vec<Record>, TagMap), ExecError> {
     let mut lkey_slots = Vec::new();
     let mut rkey_slots = Vec::new();
     for k in keys {
@@ -463,10 +452,6 @@ pub fn hash_join(
                 .ok_or_else(|| ExecError::UnboundTag(k.clone()))?,
         );
     }
-    let comm = match partitions {
-        Some(p) if p > 1 => (left.len() + right.len()) as u64,
-        _ => 0,
-    };
     // output tag map: left tags then the right tags that are new
     let mut out_tags = left_tags.clone();
     let mut right_extra: Vec<(usize, usize)> = Vec::new(); // (right slot, out slot)
@@ -516,19 +501,17 @@ pub fn hash_join(
             }
         }
     }
-    Ok((out, out_tags, comm))
+    Ok((out, out_tags))
 }
 
 // ---------------------------------------------------------------------------
 // Batched (vectorized) variants
 // ---------------------------------------------------------------------------
 //
-// Column-at-a-time versions of the relational operators: expressions are
-// compiled once per operator call (tag → slot resolution and property-key
-// interning hoisted out of the row loop), filters produce selection vectors
-// gathered column-wise, sorts/deduplication permute row indices, and the
-// pipeline-breaking operators (group, order, join) consume all input batches
-// but still stream their output back out in `batch_size` chunks.
+// Column-at-a-time code the morsel engine runs: expressions are compiled once
+// per operator (tag → slot resolution and property-key interning hoisted out
+// of the row loop), and outputs are built column-wise or gathered through row
+// indices.
 
 use crate::batch::{
     total_rows, BatchBuilder, BatchRow, Column, ColumnData, CompiledExpr, EntryRef, RecordBatch,
@@ -550,12 +533,9 @@ pub(crate) fn batch_eval<G: GraphView>(
     })
 }
 
-/// Locate (or create, in first-encounter order) the grouping state of `key`.
-/// The single accumulation entry point shared by the packed and generic
-/// grouping loops of both the batched and the morsel-parallel engines:
-/// group-creation order and accumulator construction must not drift between
-/// them. `make_reps` materialises the representative key entries only when
-/// the group is new.
+/// Locate (or create, in first-encounter order) the grouping state of `key`;
+/// `make_reps` materialises the representative key entries only when the
+/// group is new.
 pub(crate) fn group_entry<'a, K: std::hash::Hash + Eq + Clone>(
     groups: &'a mut HashMap<K, (Vec<Entry>, Vec<Accumulator>)>,
     group_order: &mut Vec<K>,
@@ -568,25 +548,6 @@ pub(crate) fn group_entry<'a, K: std::hash::Hash + Eq + Clone>(
         let accs = aggs.iter().map(|(f, _, _)| Accumulator::new(*f)).collect();
         (make_reps(), accs)
     })
-}
-
-/// Emit one output row per group in first-encounter order: representative key
-/// entries followed by the finished accumulators. The single emission path
-/// shared by the packed and generic grouping loops of both the batched and
-/// the morsel-parallel engines — they must not drift.
-pub(crate) fn emit_groups<K: std::hash::Hash + Eq>(
-    mut groups: HashMap<K, (Vec<Entry>, Vec<Accumulator>)>,
-    group_order: Vec<K>,
-    builder: &mut BatchBuilder,
-) {
-    for k in group_order {
-        let (reps, accs) = groups.remove(&k).expect("group exists");
-        let finished: Vec<Entry> = accs
-            .into_iter()
-            .map(|acc| Entry::Value(acc.finish()))
-            .collect();
-        builder.push_row(reps.iter().chain(finished.iter()).map(EntryRef::from_entry));
-    }
 }
 
 /// Packed grouping key of the typed `HashGroup`/`OrderLimit` fast path: a
@@ -744,51 +705,6 @@ pub(crate) fn packed_group_keys<G: GraphView>(
         // values, paths, row-wise entries: let the generic path handle them
         _ => None,
     }
-}
-
-/// Batched [`select`]: the predicate is compiled once, rows are kept through a
-/// selection vector and gathered column-by-column. Comparison-shaped
-/// predicates additionally compile to typed column kernels
-/// (`crate::kernel`, internal) that read the graph's typed property slices directly —
-/// zero `PropValue` clones per row — with the row-wise compiled evaluator as
-/// the fallback (and oracle) for everything else.
-pub fn select_batches<G: GraphView>(
-    graph: &G,
-    input: &[RecordBatch],
-    tags: &TagMap,
-    predicate: &Expr,
-    batch_size: usize,
-) -> Vec<RecordBatch> {
-    let compiled = CompiledExpr::compile(predicate, tags, graph);
-    let typed = crate::kernel::TypedPred::compile(&compiled);
-    let width = tags.len();
-    let mut out = Vec::new();
-    let mut sel: Vec<u32> = Vec::new();
-    for batch in input {
-        sel.clear();
-        let kernel_hit = typed
-            .as_ref()
-            .is_some_and(|p| crate::kernel::eval_typed_predicate(p, graph, batch, &mut sel));
-        if !kernel_hit {
-            for row in 0..batch.rows() {
-                if compiled.eval_predicate(&BatchRow {
-                    graph,
-                    batch,
-                    row,
-                    overrides: &[],
-                }) {
-                    sel.push(row as u32);
-                }
-            }
-        }
-        let mut start = 0;
-        while start < sel.len() {
-            let end = (start + batch_size).min(sel.len());
-            out.push(batch.gather(&sel[start..end], width.max(batch.width())));
-            start = end;
-        }
-    }
-    out
 }
 
 /// Batched [`project`]: passthrough items clone whole columns; computed items
@@ -958,274 +874,6 @@ pub fn property_fetch_batches<G: GraphView>(
     Ok(out)
 }
 
-/// Batched [`hash_group`]: key and aggregate expressions are compiled once,
-/// grouping state is keyed exactly like the scalar operator, and the one
-/// output row per group streams back out in `batch_size` chunks.
-#[allow(clippy::too_many_arguments)]
-pub fn hash_group_batches<G: GraphView>(
-    graph: &G,
-    input: &[RecordBatch],
-    tags: &TagMap,
-    keys: &[(Expr, String)],
-    aggs: &[(AggFunc, Expr, String)],
-    partitions: Option<usize>,
-    batch_size: usize,
-    ctx: &QueryContext,
-) -> Result<(Vec<RecordBatch>, TagMap, u64), ExecError> {
-    let mut out_tags = TagMap::new();
-    let mut key_passthrough: Vec<Option<usize>> = Vec::new();
-    for (expr, alias) in keys {
-        out_tags.slot_or_insert(alias);
-        key_passthrough.push(match expr {
-            Expr::Tag(t) => tags.slot(t),
-            _ => None,
-        });
-    }
-    for (_, _, alias) in aggs {
-        out_tags.slot_or_insert(alias);
-    }
-    let key_exprs: Vec<CompiledExpr> = keys
-        .iter()
-        .map(|(e, _)| CompiledExpr::compile(e, tags, graph))
-        .collect();
-    let agg_exprs: Vec<CompiledExpr> = aggs
-        .iter()
-        .map(|(_, e, _)| CompiledExpr::compile(e, tags, graph))
-        .collect();
-    let comm = match partitions {
-        Some(p) if p > 1 => total_rows(input) as u64,
-        _ => 0,
-    };
-    // Typed Int/Date/Str fast path: a single `tag.prop` grouping key whose
-    // resolved property columns are all Int/Date/short-Str groups on packed
-    // primitive keys — no per-row `PropValue` construction, no boxed key
-    // vectors, no enum hashing. Any uncovered batch falls back to the generic
-    // path for the whole call, so first-encounter group order stays
-    // oracle-identical.
-    let packed: Option<Vec<Vec<PackedKey>>> = if key_exprs.len() == 1 {
-        input
-            .iter()
-            .map(|b| packed_group_keys(graph, b, &key_exprs[0]))
-            .collect()
-    } else {
-        None
-    };
-    let mut builder = BatchBuilder::new(out_tags.len(), batch_size);
-    let mut ticker = Ticker::new();
-    if let Some(per_batch) = packed {
-        let mut groups: HashMap<PackedKey, (Vec<Entry>, Vec<Accumulator>)> = HashMap::new();
-        let mut group_order: Vec<PackedKey> = Vec::new();
-        for (batch, keys_of) in input.iter().zip(&per_batch) {
-            for (row, &k) in keys_of.iter().enumerate() {
-                ticker.tick(ctx).map_err(ExecError::LimitExceeded)?;
-                let before = group_order.len();
-                let entry = group_entry(&mut groups, &mut group_order, k, aggs, || {
-                    key_passthrough
-                        .iter()
-                        .map(|pt| match pt {
-                            Some(slot) => batch.entry(*slot, row).to_entry(),
-                            None => Entry::Value(unpack_group_key(k)),
-                        })
-                        .collect()
-                });
-                for (acc, e) in entry.1.iter_mut().zip(&agg_exprs) {
-                    acc.update(batch_eval(graph, batch, row, e));
-                }
-                if group_order.len() > before {
-                    ctx.charge_bytes(GROUP_STATE_BYTES)
-                        .map_err(ExecError::LimitExceeded)?;
-                }
-            }
-        }
-        emit_groups(groups, group_order, &mut builder);
-        return Ok((builder.finish(), out_tags, comm));
-    }
-    let mut groups: HashMap<Vec<PropValue>, (Vec<Entry>, Vec<Accumulator>)> = HashMap::new();
-    let mut group_order: Vec<Vec<PropValue>> = Vec::new();
-    for batch in input {
-        for row in 0..batch.rows() {
-            ticker.tick(ctx).map_err(ExecError::LimitExceeded)?;
-            let key_vals: Vec<PropValue> = key_exprs
-                .iter()
-                .map(|e| batch_eval(graph, batch, row, e))
-                .collect();
-            let before = group_order.len();
-            let entry = group_entry(
-                &mut groups,
-                &mut group_order,
-                key_vals.clone(),
-                aggs,
-                || {
-                    key_passthrough
-                        .iter()
-                        .enumerate()
-                        .map(|(i, pt)| match pt {
-                            Some(slot) => batch.entry(*slot, row).to_entry(),
-                            None => Entry::Value(key_vals[i].clone()),
-                        })
-                        .collect()
-                },
-            );
-            for (acc, e) in entry.1.iter_mut().zip(&agg_exprs) {
-                acc.update(batch_eval(graph, batch, row, e));
-            }
-            if group_order.len() > before {
-                ctx.charge_bytes(GROUP_STATE_BYTES)
-                    .map_err(ExecError::LimitExceeded)?;
-            }
-        }
-    }
-    emit_groups(groups, group_order, &mut builder);
-    Ok((builder.finish(), out_tags, comm))
-}
-
-/// Batched [`order_limit`]: keys are evaluated column-wise and the sort is a
-/// row-index permutation; only the surviving prefix is gathered.
-///
-/// A single sort key over primitive Int/Date or dictionary-encoded short-Str
-/// property columns takes the typed packed path: rows sort on copyable
-/// `PackedKey`s instead of boxed `PropValue` vectors. `PackedKey` order is
-/// isomorphic to `PropValue` order on the Null/Int/Date/packable-Str domain
-/// and both sorts are stable, so the permutation is identical to the generic
-/// path's.
-pub fn order_limit_batches<G: GraphView>(
-    graph: &G,
-    input: &[RecordBatch],
-    tags: &TagMap,
-    keys: &[(Expr, SortDir)],
-    limit: Option<usize>,
-    batch_size: usize,
-    ctx: &QueryContext,
-) -> Result<Vec<RecordBatch>, ExecError> {
-    let compiled: Vec<CompiledExpr> = keys
-        .iter()
-        .map(|(e, _)| CompiledExpr::compile(e, tags, graph))
-        .collect();
-    ctx.charge_bytes(total_rows(input) as u64 * SORT_ROW_BYTES)
-        .map_err(ExecError::LimitExceeded)?;
-    let mut ticker = Ticker::new();
-    let take = |n: usize| limit.unwrap_or(n);
-    let mut builder = BatchBuilder::new(tags.len(), batch_size);
-    let packed: Option<Vec<Vec<PackedKey>>> = if compiled.len() == 1 {
-        input
-            .iter()
-            .map(|b| packed_group_keys(graph, b, &compiled[0]))
-            .collect()
-    } else {
-        None
-    };
-    if let Some(per_batch) = packed {
-        let desc = matches!(keys.first(), Some((_, SortDir::Desc)));
-        let mut keyed: Vec<(PackedKey, u32, u32)> = Vec::with_capacity(total_rows(input));
-        for (bi, keys_of) in per_batch.into_iter().enumerate() {
-            for (row, k) in keys_of.into_iter().enumerate() {
-                ticker.tick(ctx).map_err(ExecError::LimitExceeded)?;
-                keyed.push((k, bi as u32, row as u32));
-            }
-        }
-        keyed.sort_by(|(ka, _, _), (kb, _, _)| {
-            let ord = ka.cmp(kb);
-            if desc {
-                ord.reverse()
-            } else {
-                ord
-            }
-        });
-        let n = take(keyed.len());
-        for (_, bi, row) in keyed.into_iter().take(n) {
-            builder.push_row_from(&input[bi as usize], row as usize, &[]);
-        }
-        return Ok(builder.finish());
-    }
-    // (sort key values, batch index, row index) — the row permutation
-    let mut keyed: Vec<(Vec<PropValue>, u32, u32)> = Vec::with_capacity(total_rows(input));
-    for (bi, batch) in input.iter().enumerate() {
-        for row in 0..batch.rows() {
-            ticker.tick(ctx).map_err(ExecError::LimitExceeded)?;
-            keyed.push((
-                compiled
-                    .iter()
-                    .map(|e| batch_eval(graph, batch, row, e))
-                    .collect(),
-                bi as u32,
-                row as u32,
-            ));
-        }
-    }
-    keyed.sort_by(|(ka, _, _), (kb, _, _)| cmp_sort_keys(ka, kb, keys));
-    let n = take(keyed.len());
-    for (_, bi, row) in keyed.into_iter().take(n) {
-        builder.push_row_from(&input[bi as usize], row as usize, &[]);
-    }
-    Ok(builder.finish())
-}
-
-/// Batched [`limit`]: keeps whole prefix batches and truncates the boundary
-/// batch.
-pub fn limit_batches(input: &[RecordBatch], count: usize) -> Vec<RecordBatch> {
-    let mut out = Vec::new();
-    let mut remaining = count;
-    for batch in input {
-        if remaining == 0 {
-            break;
-        }
-        if batch.rows() <= remaining {
-            remaining -= batch.rows();
-            out.push(batch.clone());
-        } else {
-            let sel: Vec<u32> = (0..remaining as u32).collect();
-            out.push(batch.gather(&sel, batch.width()));
-            remaining = 0;
-        }
-    }
-    out
-}
-
-/// Batched [`dedup`]: compiled keys, a global seen-set, and per-batch
-/// selection vectors.
-pub fn dedup_batches<G: GraphView>(
-    graph: &G,
-    input: &[RecordBatch],
-    tags: &TagMap,
-    keys: &[Expr],
-    ctx: &QueryContext,
-) -> Result<Vec<RecordBatch>, ExecError> {
-    let compiled: Vec<CompiledExpr> = keys
-        .iter()
-        .map(|e| CompiledExpr::compile(e, tags, graph))
-        .collect();
-    let mut seen: std::collections::HashSet<Vec<PropValue>> = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    let mut sel: Vec<u32> = Vec::new();
-    let mut ticker = Ticker::new();
-    for batch in input {
-        sel.clear();
-        let width = keyless_dedup_width(tags, batch.width());
-        for row in 0..batch.rows() {
-            ticker.tick(ctx).map_err(ExecError::LimitExceeded)?;
-            let key: Vec<PropValue> = if compiled.is_empty() {
-                (0..width).map(|s| batch.entry(s, row).to_value()).collect()
-            } else {
-                compiled
-                    .iter()
-                    .map(|e| batch_eval(graph, batch, row, e))
-                    .collect()
-            };
-            if seen.insert(key) {
-                ctx.charge_bytes(DEDUP_KEY_BYTES)
-                    .map_err(ExecError::LimitExceeded)?;
-                sel.push(row as u32);
-            }
-        }
-        if sel.len() == batch.rows() {
-            out.push(batch.clone());
-        } else if !sel.is_empty() {
-            out.push(batch.gather(&sel, batch.width()));
-        }
-    }
-    Ok(out)
-}
-
 /// Batched [`union`]: slot remapping happens column-wise — each input batch's
 /// columns are moved to their output slots and missing slots are padded with
 /// null columns, with no per-row work at all.
@@ -1263,19 +911,15 @@ pub fn union_batches(inputs: &[(&[RecordBatch], &TagMap)]) -> (Vec<RecordBatch>,
 /// Batched [`hash_join`]: the build side is indexed as `(batch, row)` pairs
 /// and probe-side matches are emitted through row gathers with the extra
 /// right-side entries as overrides.
-#[allow(clippy::too_many_arguments)]
-pub fn hash_join_batches<G: GraphView>(
-    graph: &G,
+pub fn hash_join_batches(
     left: &[RecordBatch],
     left_tags: &TagMap,
     right: &[RecordBatch],
     right_tags: &TagMap,
     keys: &[String],
     kind: JoinType,
-    partitions: Option<usize>,
     batch_size: usize,
-) -> Result<(Vec<RecordBatch>, TagMap, u64), ExecError> {
-    let _ = graph;
+) -> Result<(Vec<RecordBatch>, TagMap), ExecError> {
     let mut lkey_slots = Vec::new();
     let mut rkey_slots = Vec::new();
     for k in keys {
@@ -1290,10 +934,6 @@ pub fn hash_join_batches<G: GraphView>(
                 .ok_or_else(|| ExecError::UnboundTag(k.clone()))?,
         );
     }
-    let comm = match partitions {
-        Some(p) if p > 1 => (total_rows(left) + total_rows(right)) as u64,
-        _ => 0,
-    };
     let mut out_tags = left_tags.clone();
     let mut right_extra: Vec<(usize, usize)> = Vec::new(); // (right slot, out slot)
     for (i, tag) in right_tags.tags().iter().enumerate() {
@@ -1354,7 +994,7 @@ pub fn hash_join_batches<G: GraphView>(
             }
         }
     }
-    Ok((builder.finish(), out_tags, comm))
+    Ok((builder.finish(), out_tags))
 }
 
 #[cfg(test)]
@@ -1423,7 +1063,7 @@ mod tests {
     fn group_with_all_aggregates() {
         let g = tiny_graph();
         let (recs, tags) = value_records(&[(1, 10), (1, 30), (2, 20), (2, 20), (2, 40)]);
-        let (out, otags, comm) = hash_group(
+        let (out, otags) = hash_group(
             &g,
             &recs,
             &tags,
@@ -1436,11 +1076,9 @@ mod tests {
                 (AggFunc::Avg, Expr::tag("b"), "avg".into()),
                 (AggFunc::CountDistinct, Expr::tag("b"), "dcnt".into()),
             ],
-            None,
             &QueryContext::new(),
         )
         .unwrap();
-        assert_eq!(comm, 0);
         assert_eq!(out.len(), 2);
         assert_eq!(otags.len(), 7);
         // group a=1
@@ -1460,18 +1098,6 @@ mod tests {
             .find(|r| r.get(0).to_value() == PropValue::Int(2))
             .unwrap();
         assert_eq!(g2.get(6).to_value(), PropValue::Int(2));
-        // partitioned grouping shuffles every input record
-        let (_, _, comm) = hash_group(
-            &g,
-            &recs,
-            &tags,
-            &[(Expr::tag("a"), "a".into())],
-            &[(AggFunc::Count, Expr::tag("b"), "cnt".into())],
-            Some(4),
-            &QueryContext::new(),
-        )
-        .unwrap();
-        assert_eq!(comm, recs.len() as u64);
     }
 
     #[test]
@@ -1522,7 +1148,6 @@ mod tests {
 
     #[test]
     fn hash_join_kinds() {
-        let g = tiny_graph();
         let (left, ltags) = value_records(&[(1, 100), (2, 200), (3, 300)]);
         // right side keyed on "a" with extra column "c"
         let mut rtags = TagMap::new();
@@ -1537,70 +1162,22 @@ mod tests {
                 r
             })
             .collect();
-        let (out, otags, comm) = hash_join(
-            &g,
-            &left,
-            &ltags,
-            &right,
-            &rtags,
-            &["a".to_string()],
-            JoinType::Inner,
-            None,
-        )
-        .unwrap();
-        assert_eq!(comm, 0);
+        let join = |keys: &[&str], kind| {
+            let keys: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
+            hash_join(&left, &ltags, &right, &rtags, &keys, kind)
+        };
+        let (out, otags) = join(&["a"], JoinType::Inner).unwrap();
         assert_eq!(out.len(), 3); // a=1 matches twice, a=3 once
         assert_eq!(otags.len(), 3);
         assert!(otags.contains("c"));
-        let (out, _, _) = hash_join(
-            &g,
-            &left,
-            &ltags,
-            &right,
-            &rtags,
-            &["a".to_string()],
-            JoinType::LeftOuter,
-            None,
-        )
-        .unwrap();
+        let (out, _) = join(&["a"], JoinType::LeftOuter).unwrap();
         assert_eq!(out.len(), 4); // a=2 padded
-        let (out, _, _) = hash_join(
-            &g,
-            &left,
-            &ltags,
-            &right,
-            &rtags,
-            &["a".to_string()],
-            JoinType::Semi,
-            None,
-        )
-        .unwrap();
+        let (out, _) = join(&["a"], JoinType::Semi).unwrap();
         assert_eq!(out.len(), 2);
-        let (out, _, comm) = hash_join(
-            &g,
-            &left,
-            &ltags,
-            &right,
-            &rtags,
-            &["a".to_string()],
-            JoinType::Anti,
-            Some(2),
-        )
-        .unwrap();
+        let (out, _) = join(&["a"], JoinType::Anti).unwrap();
         assert_eq!(out.len(), 1);
-        assert_eq!(comm, (left.len() + right.len()) as u64);
         // unknown key errors
-        assert!(hash_join(
-            &g,
-            &left,
-            &ltags,
-            &right,
-            &rtags,
-            &["zzz".to_string()],
-            JoinType::Inner,
-            None
-        )
-        .is_err());
+        assert!(join(&["zzz"], JoinType::Inner).is_err());
     }
 
     #[test]

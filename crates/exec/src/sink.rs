@@ -4,7 +4,7 @@
 //! one place per sink, a fold that an [`InOrder`] frontier applies strictly
 //! **in morsel order** — so group first-encounter order, accumulator update
 //! order, stable sort order, first-occurrence deduplication and the order of
-//! collected rows are exactly the sequential engines'. Workers do the rest
+//! collected rows are exactly the scalar oracle's. Workers do the rest
 //! per batch, in parallel:
 //!
 //! * [`Sink::Collect`] keeps the batches (a `Limit` only the first `count`
@@ -24,7 +24,7 @@ use crate::record::{Entry, TagMap};
 use crate::relational::{self, Accumulator, PackedKey};
 use gopt_gir::expr::{AggFunc, Expr, SortDir};
 use gopt_gir::physical::PhysicalOp;
-use gopt_graph::{GraphView, PartitionedGraph, PropValue, VertexId};
+use gopt_graph::{GraphView, PropValue, VertexId};
 use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -113,7 +113,7 @@ impl<'p> Sink<'p> {
     }
 
     /// The sink of the breaker `op` over rows tagged `tags`.
-    pub(crate) fn compile(graph: &PartitionedGraph, op: &'p PhysicalOp, tags: &TagMap) -> Self {
+    pub(crate) fn compile<G: GraphView>(graph: &G, op: &'p PhysicalOp, tags: &TagMap) -> Self {
         let compile = |e: &Expr| CompiledExpr::compile(e, tags, graph);
         match op {
             PhysicalOp::Limit { count } => Sink::collect(Some(*count)),
@@ -142,9 +142,9 @@ impl<'p> Sink<'p> {
     }
 
     /// Take one batch of morsel `m`; `None`: the morsel is through.
-    pub(crate) fn consume(
+    pub(crate) fn consume<G: GraphView>(
         &self,
-        graph: &PartitionedGraph,
+        graph: &G,
         ctx: &QueryContext,
         m: usize,
         batch: Option<Cow<'_, RecordBatch>>,
@@ -188,9 +188,9 @@ impl<'p> Sink<'p> {
     /// All morsels are through: the output batches (of `width` columns, cut
     /// at `batch_size` rows), the output tags (`None`: the input's) and the
     /// metered bytes of the state given up.
-    pub(crate) fn finish(
+    pub(crate) fn finish<G: GraphView>(
         self,
-        graph: &PartitionedGraph,
+        graph: &G,
         width: usize,
         batch_size: usize,
     ) -> (Vec<RecordBatch>, Option<TagMap>, u64) {
@@ -342,8 +342,8 @@ pub(crate) struct GroupSink<'p> {
 }
 
 impl<'p> GroupSink<'p> {
-    fn new(
-        graph: &PartitionedGraph,
+    fn new<G: GraphView>(
+        graph: &G,
         keys: &'p [(Expr, String)],
         aggs: &'p [(AggFunc, Expr, String)],
         tags: &TagMap,
@@ -378,7 +378,7 @@ impl<'p> GroupSink<'p> {
 
     /// The packed keys of a single-key batch: the typed Int/Date/short-Str
     /// path, else — when group merge order is free — the vertex ids.
-    fn packed_keys(&self, graph: &PartitionedGraph, batch: &RecordBatch) -> Option<Vec<PackedKey>> {
+    fn packed_keys<G: GraphView>(&self, graph: &G, batch: &RecordBatch) -> Option<Vec<PackedKey>> {
         let [key] = self.keys.as_slice() else {
             return None;
         };
@@ -403,7 +403,7 @@ impl<'p> GroupSink<'p> {
     }
 
     /// Evaluate the keys and aggregate inputs of one batch into columns.
-    fn evaluate(&self, graph: &PartitionedGraph, batch: &RecordBatch) -> GroupPart {
+    fn evaluate<G: GraphView>(&self, graph: &G, batch: &RecordBatch) -> GroupPart {
         let rows = 0..batch.rows();
         let eval = |row, e| relational::batch_eval(graph, batch, row, e);
         let keys = if self.keys.is_empty() {
@@ -442,7 +442,7 @@ impl<'p> GroupSink<'p> {
 
     /// The value a packed key stands for (a [`VERTEX_KEY`]: its vertex's
     /// property).
-    fn value_of(&self, graph: &PartitionedGraph, k: PackedKey) -> PropValue {
+    fn value_of<G: GraphView>(&self, graph: &G, k: PackedKey) -> PropValue {
         match (k.0, self.keys.first()) {
             (VERTEX_KEY, Some(CompiledExpr::Prop { key: Some(p), .. })) => graph
                 .vertex_prop(VertexId(k.1 as u64), *p)
@@ -455,7 +455,7 @@ impl<'p> GroupSink<'p> {
     /// Stop packing: every packed key becomes its value, and groups whose
     /// values coincide — which only vertex keys of a count-only table can —
     /// merge, the earlier one first.
-    fn unpack(&self, graph: &PartitionedGraph, all: &mut Groups) {
+    fn unpack<G: GraphView>(&self, graph: &G, all: &mut Groups) {
         let Some(packed) = all.packed.take() else {
             return;
         };
@@ -480,9 +480,9 @@ impl<'p> GroupSink<'p> {
     }
 
     /// Update the group table with one batch, in row order.
-    fn fold(
+    fn fold<G: GraphView>(
         &self,
-        graph: &PartitionedGraph,
+        graph: &G,
         ctx: &QueryContext,
         all: &mut Groups,
         part: GroupPart,
@@ -567,9 +567,9 @@ impl<'p> GroupSink<'p> {
 
     /// One output row per group, in first-encounter order: representative
     /// key entries, then the finished aggregates.
-    fn finish(
+    fn finish<G: GraphView>(
         mut self,
-        graph: &PartitionedGraph,
+        graph: &G,
         batch_size: usize,
     ) -> (Vec<RecordBatch>, TagMap, u64) {
         let all = std::mem::replace(&mut self.groups, InOrder::new(Groups::default()));
@@ -610,7 +610,7 @@ pub(crate) struct OrderSink<'p> {
 impl OrderSink<'_> {
     /// Sort one batch into a run of the at most `limit` rows of it that can
     /// reach the output.
-    fn sort(&self, graph: &PartitionedGraph, batch: &RecordBatch) -> Run {
+    fn sort<G: GraphView>(&self, graph: &G, batch: &RecordBatch) -> Run {
         let mut keys: Vec<Option<Vec<PropValue>>> = (0..batch.rows())
             .map(|row| {
                 let eval = |e| relational::batch_eval(graph, batch, row, e);
@@ -645,7 +645,7 @@ pub(crate) struct DedupSink {
 type DedupPart = (Vec<Vec<PropValue>>, RecordBatch);
 
 impl DedupSink {
-    fn keys(&self, graph: &PartitionedGraph, batch: &RecordBatch) -> Vec<Vec<PropValue>> {
+    fn keys<G: GraphView>(&self, graph: &G, batch: &RecordBatch) -> Vec<Vec<PropValue>> {
         let width = relational::keyless_dedup_width(&self.tags, batch.width());
         (0..batch.rows())
             .map(|row| match self.compiled.is_empty() {

@@ -1,17 +1,19 @@
 //! Operator-level equivalence: every physical operator, executed through the scalar
-//! [`Engine`] and the vectorized [`BatchEngine`], must produce identical rows (same
-//! order — the engines share their emission order), identical tag maps, and identical
-//! statistics (except wall-clock time). Batch sizes of 1 and 3 stress chunk
-//! boundaries; 1024 is the default.
+//! oracle [`Engine`] and through the morsel-driven [`ParallelEngine`] over record
+//! batches, must produce identical rows (same order), identical tag maps, identical
+//! record statistics and identical errors. The engine runs over the monolithic graph
+//! with no placement — the single-machine backend's path — at batch sizes 1, 3, 7 and
+//! 1024 (the small ones stress chunk boundaries), and over shards where a case names a
+//! partition count.
 
-use gopt_exec::{BatchEngine, Engine, EngineConfig, ExecResult};
+use gopt_exec::{Engine, EngineConfig, ParallelEngine};
 use gopt_gir::pattern::{Direction, PathSemantics};
 use gopt_gir::physical::{IntersectStep, PhysicalOp, PhysicalPlan};
 use gopt_gir::types::TypeConstraint;
 use gopt_gir::{AggFunc, BinOp, Expr, JoinType, SortDir};
 use gopt_graph::generator::{random_graph, RandomGraphConfig};
 use gopt_graph::schema::fig6_schema;
-use gopt_graph::PropertyGraph;
+use gopt_graph::{PartitionedGraph, PropertyGraph};
 
 #[path = "../../../tests/common/pipeline_plans.rs"]
 mod pipeline_plans;
@@ -40,46 +42,27 @@ fn located(g: &PropertyGraph) -> TypeConstraint {
     TypeConstraint::basic(g.schema().edge_label("LocatedIn").unwrap())
 }
 
-/// Run `plan` through both engines (scalar and batched at several batch sizes) and
-/// assert bit-identical results and stats.
-fn assert_equivalent(g: &PropertyGraph, plan: &PhysicalPlan, partitions: Option<usize>) {
-    let config = EngineConfig {
-        partitions,
-        record_limit: None,
-    };
-    let scalar = Engine::new(g, config.clone()).execute(plan).unwrap();
-    for batch_size in [1usize, 3, 1024] {
-        let batched = BatchEngine::new(g, config.clone())
-            .with_batch_size(batch_size)
-            .execute(plan)
-            .unwrap();
-        assert_same(&scalar, &batched, batch_size);
-    }
-}
+const THREADS: [usize; 2] = [1, 2];
 
-fn assert_same(scalar: &ExecResult, batched: &ExecResult, batch_size: usize) {
-    assert_eq!(
-        scalar.tags.tags(),
-        batched.tags.tags(),
-        "tag maps diverge (batch_size={batch_size})"
-    );
-    assert_eq!(
-        scalar.rows(),
-        batched.rows(),
-        "rows diverge (batch_size={batch_size})"
-    );
-    assert_eq!(
-        scalar.stats.intermediate_records, batched.stats.intermediate_records,
-        "intermediate record counts diverge (batch_size={batch_size})"
-    );
-    assert_eq!(
-        scalar.stats.peak_records, batched.stats.peak_records,
-        "peak record counts diverge (batch_size={batch_size})"
-    );
-    assert_eq!(
-        scalar.stats.comm_records, batched.stats.comm_records,
-        "communication accounting diverges (batch_size={batch_size})"
-    );
+/// Run `plan` through the scalar oracle and through the morsel engine — over the
+/// monolithic graph and, given `partitions`, over that many shards, at every batch
+/// size — and assert bit-identical tags, rows and record statistics.
+fn assert_equivalent(g: &PropertyGraph, plan: &PhysicalPlan, partitions: Option<usize>) {
+    let oracle = Engine::new(g, EngineConfig::default()).execute(plan);
+    assert!(oracle.is_ok(), "the oracle runs the plan: {oracle:?}");
+    pipeline_plans::assert_monolithic_agrees(g, "plan", plan, &oracle, None, &THREADS);
+    let Some(parts) = partitions else { return };
+    let sharded = PartitionedGraph::build(g, parts);
+    for batch_size in pipeline_plans::BATCH_SIZES {
+        for t in THREADS {
+            let got = ParallelEngine::new(&sharded)
+                .with_threads(t)
+                .with_batch_size(batch_size)
+                .execute(plan);
+            let at = format!("p={parts} t={t} bs={batch_size}");
+            pipeline_plans::check(&oracle, &got, &at);
+        }
+    }
 }
 
 #[test]
@@ -571,12 +554,13 @@ fn record_limit_parity() {
         edge_predicate: None,
     });
     let config = EngineConfig {
-        partitions: None,
         record_limit: Some(5),
     };
-    let scalar = Engine::new(&g, config.clone()).execute(&plan);
-    let batched = BatchEngine::new(&g, config).execute(&plan);
-    assert_eq!(scalar.unwrap_err(), batched.unwrap_err());
+    let scalar = Engine::new(&g, config).execute(&plan);
+    let piped = ParallelEngine::new(&g)
+        .with_record_limit(Some(5))
+        .execute(&plan);
+    assert_eq!(scalar.unwrap_err(), piped.unwrap_err());
 }
 
 #[test]
@@ -599,14 +583,13 @@ fn sum_and_max_aggregates_match() {
     assert_equivalent(&g, &plan, Some(2));
 }
 
-/// The pipeline-shaped plans of the morsel engine's suite: the batched engine
-/// agrees with the scalar one on each, and so does the morsel engine at every
+/// The pipeline-shaped plans of the morsel engine's suite: the morsel engine
+/// agrees with the scalar oracle over the monolithic graph and at every
 /// partition count, thread count, batch size and placement.
 #[test]
 fn pipeline_shaped_plans() {
     let g = pipeline_plans::pipeline_graph();
     for (name, plan) in pipeline_plans::pipeline_plans(&g) {
-        assert_equivalent(&g, &plan, None);
         pipeline_plans::assert_parallel_matrix(&g, name, &plan, &[1, 2, 4]);
     }
 }

@@ -226,8 +226,7 @@ impl PartitionerSpec {
 /// exchange routes rows and charges communication through `partition_of`
 /// and `is_hub`, so any [`Partitioner`] (and any replica set) plugs in
 /// without the engines knowing. A map without an owner table falls back to
-/// modulo arithmetic; the scalar/batched engines use that form to *simulate*
-/// a `p`-way deployment on a monolithic graph.
+/// modulo arithmetic.
 #[derive(Debug, Clone)]
 pub struct PartitionMap {
     partitions: usize,
@@ -237,7 +236,7 @@ pub struct PartitionMap {
 }
 
 impl PartitionMap {
-    /// A table-free modulo map (`v mod p`), for simulated deployments.
+    /// A table-free modulo map (`v mod p`).
     pub fn modulo(partitions: usize) -> PartitionMap {
         PartitionMap {
             partitions: partitions.max(1),
@@ -880,6 +879,10 @@ impl GraphView for PartitionedGraph {
 
     fn prop_key(&self, name: &str) -> Option<PropKeyId> {
         self.base.prop_key(name)
+    }
+
+    fn placement(&self) -> Option<&PartitionMap> {
+        Some(&self.pmap)
     }
 
     #[inline]

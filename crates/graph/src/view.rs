@@ -22,6 +22,7 @@
 use crate::column::ColumnRef;
 use crate::graph::AdjSegment;
 use crate::ids::{EdgeId, LabelId, PropKeyId, VertexId};
+use crate::partition::PartitionMap;
 use crate::schema::GraphSchema;
 use crate::value::PropValue;
 use crate::PropertyGraph;
@@ -106,6 +107,13 @@ pub trait GraphView: Sync {
     /// Look up an edge property by name.
     fn edge_prop_by_name(&self, e: EdgeId, name: &str) -> Option<PropValue> {
         self.prop_key(name).and_then(|k| self.edge_prop(e, k))
+    }
+
+    /// Which partition owns each vertex, when the layout is partitioned —
+    /// what the executor charges cross-partition communication against.
+    /// `None` for single-machine storage.
+    fn placement(&self) -> Option<&PartitionMap> {
+        None
     }
 }
 

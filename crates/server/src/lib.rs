@@ -56,7 +56,7 @@ pub use cache::CacheMetrics;
 use admission::Admission;
 use cache::PlanCache;
 use gopt_core::{plan_shape, GOpt, GOptConfig, GraphScopeSpec, OptError, INITIAL_STATS_VERSION};
-use gopt_exec::{Backend, ExecError, ExecMode, ExecResult, PartitionedBackend, QueryContext};
+use gopt_exec::{Backend, ExecError, ExecResult, PartitionedBackend, QueryContext};
 use gopt_gir::physical::PhysicalPlan;
 use gopt_glogue::{GLogue, GLogueConfig, GlogueQuery};
 use gopt_graph::{GraphStats, PartitionerSpec, PropertyGraph};
@@ -126,9 +126,6 @@ pub struct ServerConfig {
     pub replicate_hubs: usize,
     /// Threads of the shared morsel pool (1 = inline execution).
     pub threads: usize,
-    /// Rows per batch for the vectorized engine; `None` keeps the engine
-    /// default.
-    pub batch_size: Option<usize>,
     /// Maximum queries executing at once.
     pub max_concurrent: usize,
     /// Queries allowed to wait for a slot before new ones are rejected with
@@ -150,7 +147,6 @@ impl Default for ServerConfig {
             partitioner: PartitionerSpec::default(),
             replicate_hubs: 0,
             threads: 2,
-            batch_size: None,
             max_concurrent: 8,
             queue_capacity: 16,
             plan_cache_capacity: 64,
@@ -228,14 +224,11 @@ impl Server {
         glogue: Arc<GLogue>,
         config: ServerConfig,
     ) -> Result<Server, ServerError> {
-        let mut backend = PartitionedBackend::new(config.partitions)
+        let backend = PartitionedBackend::new(config.partitions)
             .map_err(|e| ServerError::Config(format!("bad partition count: {e}")))?
             .with_threads(config.threads)
             .with_partitioner(config.partitioner)
             .with_hub_replication(config.replicate_hubs);
-        if let Some(batch_size) = config.batch_size {
-            backend = backend.with_mode(ExecMode::Batched { batch_size });
-        }
         // shard the graph and spin up the worker pool ahead of the first
         // query; an invalid GOPT_PARTITIONER surfaces here, at startup
         backend.prepare(&graph).map_err(ServerError::Exec)?;

@@ -1,10 +1,10 @@
 //! Prints every stage of one query's life: query text → logical GIR plan → rule-based
-//! optimization → cost-based physical plan (for both backend specs) → batched
-//! execution. `docs/PLAN_LIFECYCLE.md` walks through this output; run
+//! optimization → cost-based physical plan (for both backend specs) → morsel-driven
+//! execution on both backends. `docs/PLAN_LIFECYCLE.md` walks through this output; run
 //! `cargo run --example plan_lifecycle` to regenerate it.
 
 use gopt::core::{GOpt, GOptConfig, GraphScopeSpec, Neo4jSpec};
-use gopt::exec::{Backend, ExecMode, PartitionedBackend, PartitionerSpec, SingleMachineBackend};
+use gopt::exec::{Backend, PartitionedBackend, PartitionerSpec, SingleMachineBackend};
 use gopt::gir::types::TypeConstraint;
 use gopt::gir::Expr;
 use gopt::glogue::{
@@ -102,14 +102,15 @@ fn main() {
         plan_neo.encode()
     );
 
-    println!("== 6. Batched execution ==");
+    println!("== 6. Morsel-driven execution ==");
     let single = SingleMachineBackend::new();
     let result = single.execute(&graph, &plan_neo).expect("executes");
     println!(
-        "single-machine (batched, 1024 rows/batch): {} result rows, {} intermediate records, \
-         0 comm, {}us",
+        "single-machine (1 thread, 1024-row morsels): {} result rows, {} intermediate records, \
+         {} comm, {}us",
         result.len(),
         result.stats.intermediate_records,
+        result.stats.comm_records,
         result.stats.elapsed_micros
     );
     for row in result.rows_for(&["name", "friends"]).iter().take(5) {
@@ -118,7 +119,7 @@ fn main() {
     let parted = PartitionedBackend::new(8).expect("non-zero partitions");
     let result = parted.execute(&graph, &plan_gs).expect("executes");
     println!(
-        "partitioned x8 (batched):                  {} result rows, {} intermediate records, \
+        "partitioned x8 (hash):                       {} result rows, {} intermediate records, \
          {} comm records / {} comm bytes, {}us",
         result.len(),
         result.stats.intermediate_records,
@@ -132,7 +133,7 @@ fn main() {
         .with_hub_replication(16);
     let result_g = greedy.execute(&graph, &plan_gs).expect("executes");
     println!(
-        "partitioned x8 (greedy + 16 hubs):         {} result rows, {} comm records / {} comm \
+        "partitioned x8 (greedy + 16 hubs):           {} result rows, {} comm records / {} comm \
          bytes, {} locality hits, {} replicated bytes, {}us",
         result_g.len(),
         result_g.stats.comm_records,
@@ -140,19 +141,6 @@ fn main() {
         result_g.stats.locality_hits,
         result_g.stats.replicated_bytes,
         result_g.stats.elapsed_micros
-    );
-    let scalar = parted
-        .clone()
-        .with_mode(ExecMode::Scalar)
-        .execute(&graph, &plan_gs)
-        .expect("executes");
-    println!(
-        "partitioned x8 (scalar oracle):            {} result rows, {} intermediate records, \
-         {} comm records, {}us (comm bytes are measured only by the parallel engine)",
-        scalar.len(),
-        scalar.stats.intermediate_records,
-        scalar.stats.comm_records,
-        scalar.stats.elapsed_micros
     );
 
     // the same pattern arrives identically from Gremlin

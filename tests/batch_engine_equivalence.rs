@@ -1,69 +1,86 @@
-//! `BatchEngine` vs `Engine` equivalence on realistic plans: every workload query the
-//! repository ships, optimized by GOpt and by the baseline planners, plus randomized
-//! plan orders over random graphs, must produce identical sorted rows and identical
-//! statistics (modulo wall-clock time) under both engines at several batch sizes.
+//! Scalar oracle vs morsel engine on realistic plans: every workload query the
+//! repository ships, optimized by GOpt for both backend specs, plus randomized
+//! plan orders over random graphs and dictionary-string plans, must produce the
+//! scalar `Engine`'s rows (in the same order), tags, record statistics and
+//! errors on both backends' interpreter. Each plan runs through
+//! `SingleMachineBackend`, on the `ParallelEngine` over the monolithic graph
+//! at several batch sizes (no placement, so nothing is charged), and, where a
+//! case names a partition count, through `PartitionedBackend` and the engine
+//! over that many shards.
 //!
-//! The scalar `Engine` is the behavioural oracle; the operator-level suite lives in
-//! `crates/exec/tests/batch_ops.rs`.
+//! The operator-level suite lives in `crates/exec/tests/batch_ops.rs`; the
+//! full partition × thread × placement matrix in `tests/parallel_equivalence.rs`.
 
 use gopt::core::{ExpandStrategy, GOpt, GOptConfig, GraphScopeSpec, Neo4jSpec, RandomPlanner};
-use gopt::exec::{BatchEngine, Engine, EngineConfig, ExecResult};
+use gopt::exec::{
+    Backend, Engine, EngineConfig, ParallelEngine, PartitionedBackend, SingleMachineBackend,
+};
 use gopt::gir::PhysicalPlan;
 use gopt::glogue::{GLogue, GLogueConfig, GlogueQuery};
 use gopt::graph::generator::{random_graph, RandomGraphConfig};
 use gopt::graph::schema::fig6_schema;
-use gopt::graph::PropertyGraph;
+use gopt::graph::{PartitionedGraph, PropertyGraph};
 use gopt::parser::{parse_cypher, parse_gremlin};
 use gopt::workloads::{
     generate_ldbc_graph, ic_queries, qc_queries, qr_gremlin_queries, qt_queries, LdbcScale,
 };
 use proptest::prelude::*;
 
+#[allow(dead_code)]
+#[path = "common/pipeline_plans.rs"]
+mod pipeline_plans;
+
 const BATCH_SIZES: [usize; 2] = [7, 1024];
+
+const RECORD_LIMIT: u64 = 3_000_000;
 
 fn assert_engines_agree(g: &PropertyGraph, plan: &PhysicalPlan, partitions: Option<usize>) {
     let config = EngineConfig {
-        partitions,
-        record_limit: Some(3_000_000),
+        record_limit: Some(RECORD_LIMIT),
     };
-    let scalar = Engine::new(g, config.clone()).execute(plan);
+    let oracle = Engine::new(g, config).execute(plan);
+    let single = SingleMachineBackend::with_record_limit(RECORD_LIMIT).execute(g, plan);
+    if let Some(r) = pipeline_plans::check(&oracle, &single, "single-machine backend") {
+        assert_ships_nothing(r, "single-machine backend");
+    }
     for batch_size in BATCH_SIZES {
-        let batched = BatchEngine::new(g, config.clone())
+        let at = format!("monolithic bs={batch_size}");
+        let got = ParallelEngine::new(g)
             .with_batch_size(batch_size)
+            .with_record_limit(Some(RECORD_LIMIT))
             .execute(plan);
-        match (&scalar, &batched) {
-            (Ok(s), Ok(b)) => assert_same(s, b, batch_size),
-            (Err(es), Err(eb)) => assert_eq!(es, eb, "errors diverge (batch_size={batch_size})"),
-            _ => panic!(
-                "one engine failed where the other succeeded (batch_size={batch_size}): \
-                 scalar={scalar:?} batched={batched:?}"
-            ),
+        if let Some(r) = pipeline_plans::check(&oracle, &got, &at) {
+            assert_ships_nothing(r, &at);
+        }
+    }
+    let Some(parts) = partitions else { return };
+    let backend = PartitionedBackend::new(parts)
+        .expect("at least one partition")
+        .with_record_limit(RECORD_LIMIT);
+    let got = backend.execute(g, plan);
+    pipeline_plans::check(&oracle, &got, &format!("partitioned backend p={parts}"));
+    let sharded = PartitionedGraph::build(g, parts);
+    for batch_size in BATCH_SIZES {
+        let at = format!("p={parts} bs={batch_size}");
+        let got = ParallelEngine::new(&sharded)
+            .with_batch_size(batch_size)
+            .with_record_limit(Some(RECORD_LIMIT))
+            .execute(plan);
+        if let Some(r) = pipeline_plans::check(&oracle, &got, &at) {
+            if parts == 1 {
+                assert_ships_nothing(r, &at);
+            }
         }
     }
 }
 
-fn assert_same(scalar: &ExecResult, batched: &ExecResult, batch_size: usize) {
+/// With no placement, or one partition, no row crosses a boundary.
+fn assert_ships_nothing(r: &gopt::exec::ExecResult, at: &str) {
+    let s = &r.stats;
     assert_eq!(
-        scalar.tags.tags(),
-        batched.tags.tags(),
-        "tag maps diverge (batch_size={batch_size})"
-    );
-    assert_eq!(
-        scalar.sorted_rows(),
-        batched.sorted_rows(),
-        "sorted rows diverge (batch_size={batch_size})"
-    );
-    assert_eq!(
-        scalar.stats.intermediate_records, batched.stats.intermediate_records,
-        "intermediate records diverge (batch_size={batch_size})"
-    );
-    assert_eq!(
-        scalar.stats.peak_records, batched.stats.peak_records,
-        "peak records diverge (batch_size={batch_size})"
-    );
-    assert_eq!(
-        scalar.stats.comm_records, batched.stats.comm_records,
-        "communication accounting diverges (batch_size={batch_size})"
+        (s.comm_records, s.comm_bytes, s.locality_hits),
+        (0, 0, 0),
+        "communication charged at {at}"
     );
 }
 
@@ -84,7 +101,7 @@ fn ldbc_env() -> (PropertyGraph, GLogue) {
 }
 
 /// Every shipped workload query, planned by GOpt for both backend specs, executes
-/// identically on both engines.
+/// identically on the oracle and on both backends' engine.
 #[test]
 fn workload_plans_agree_on_both_engines() {
     let (graph, glogue) = ldbc_env();
@@ -161,123 +178,6 @@ fn random_plan_orders_agree_on_both_engines() {
                 .expect("random plan builds");
             assert_engines_agree(&graph, &plan, None);
             assert_engines_agree(&graph, &plan, Some(3));
-        }
-    }
-}
-
-/// Typed-property predicate coverage: plans filtering and projecting over
-/// dense, sparse, mixed and all-null property columns must agree between the
-/// scalar oracle and the batched engine (whose `Select` takes the typed
-/// column kernels when the predicate shape allows) at partitions {1, 2, 4}.
-#[test]
-fn typed_property_predicates_agree_on_both_engines() {
-    use gopt::gir::expr::{BinOp, Expr};
-    use gopt::gir::pattern::Direction;
-    use gopt::gir::physical::{PhysicalOp, PhysicalPlan};
-    use gopt::gir::TypeConstraint;
-    use gopt::graph::{GraphBuilder, PropValue};
-
-    let mut b = GraphBuilder::new(fig6_schema());
-    let mut persons = Vec::new();
-    for i in 0..12i64 {
-        let mut props = vec![
-            ("age", PropValue::Int(20 + i)),             // dense Int
-            ("score", PropValue::Float(i as f64 / 3.0)), // dense Float
-            ("nick", PropValue::str(format!("p{i}"))),   // dense Str
-        ];
-        if i % 3 == 0 {
-            props.push(("seen", PropValue::Date(7000 + i))); // sparse Date
-        }
-        props.push(if i < 6 {
-            ("tag", PropValue::Int(i)) // mixed column: Int then Str cells
-        } else {
-            ("tag", PropValue::str("t"))
-        });
-        persons.push(b.add_vertex_by_name("Person", props).unwrap());
-    }
-    // `capacity` exists only on Places: all-null from Person's point of view
-    b.add_vertex_by_name("Place", vec![("capacity", PropValue::Int(9))])
-        .unwrap();
-    for w in persons.windows(2) {
-        b.add_edge_by_name(
-            "Knows",
-            w[0],
-            w[1],
-            vec![("since", PropValue::Int(w[1].0 as i64))],
-        )
-        .unwrap();
-    }
-    let graph = b.finish();
-    let person = TypeConstraint::basic(graph.schema().vertex_label("Person").unwrap());
-    let knows = TypeConstraint::basic(graph.schema().edge_label("Knows").unwrap());
-
-    let predicates: Vec<Expr> = vec![
-        // dense Int: kernel hit
-        Expr::binary(BinOp::Lt, Expr::prop("b", "age"), Expr::lit(27)),
-        // literal-on-the-left flips the operator
-        Expr::binary(BinOp::Ge, Expr::lit(27), Expr::prop("b", "age")),
-        // sparse Date: null bitmap consulted
-        Expr::binary(
-            BinOp::Le,
-            Expr::prop("b", "seen"),
-            Expr::lit(PropValue::Date(7006)),
-        ),
-        // cross-kind: Date column vs Int literal is a constant ordering
-        Expr::binary(BinOp::Gt, Expr::prop("b", "seen"), Expr::lit(0)),
-        // Float vs Int literal compares numerically
-        Expr::binary(BinOp::Gt, Expr::prop("b", "score"), Expr::lit(2)),
-        Expr::prop_eq("b", "nick", "p4"),
-        // mixed column: per-cell fallback inside the kernel
-        Expr::binary(BinOp::Lt, Expr::prop("b", "tag"), Expr::lit(4)),
-        // all-null (absent-on-label) column and unknown key
-        Expr::prop_eq("b", "capacity", 9),
-        Expr::prop_eq("b", "no_such_key", 1),
-        // AND/OR over sparse + dense leaves
-        Expr::binary(BinOp::Lt, Expr::prop("b", "age"), Expr::lit(29)).and(Expr::binary(
-            BinOp::Ge,
-            Expr::prop("b", "seen"),
-            Expr::lit(PropValue::Date(0)),
-        )),
-        Expr::binary(
-            BinOp::Or,
-            Expr::prop_eq("b", "nick", "p2"),
-            Expr::binary(BinOp::Gt, Expr::prop("e", "since"), Expr::lit(8)),
-        ),
-        // shapes the kernel rejects: the row-wise oracle path must agree too
-        Expr::binary(
-            BinOp::Lt,
-            Expr::binary(BinOp::Add, Expr::prop("b", "age"), Expr::lit(1)),
-            Expr::lit(26),
-        ),
-        Expr::binary(BinOp::Eq, Expr::prop("b", "age"), Expr::prop("b", "tag")),
-    ];
-    for predicate in predicates {
-        let mut plan = PhysicalPlan::new();
-        plan.push(PhysicalOp::Scan {
-            alias: "a".into(),
-            constraint: person.clone(),
-            predicate: None,
-        });
-        plan.push(PhysicalOp::EdgeExpand {
-            src: "a".into(),
-            edge_alias: Some("e".into()),
-            edge_constraint: knows.clone(),
-            direction: Direction::Out,
-            dst_alias: "b".into(),
-            dst_constraint: person.clone(),
-            dst_predicate: None,
-            edge_predicate: None,
-        });
-        plan.push(PhysicalOp::Select { predicate });
-        plan.push(PhysicalOp::Project {
-            items: vec![
-                (Expr::prop("b", "age"), "age".into()),
-                (Expr::prop("b", "tag"), "tag".into()),
-                (Expr::prop("b", "seen"), "seen".into()),
-            ],
-        });
-        for parts in [1usize, 2, 4] {
-            assert_engines_agree(&graph, &plan, Some(parts));
         }
     }
 }
@@ -439,7 +339,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Property test: random graph, random plan order, random partition count —
-    /// the engines always agree.
+    /// the oracle and the engine always agree.
     #[test]
     fn engines_agree_on_random_graphs(seed in 0u64..200, edges in 15usize..60, parts in 1usize..5) {
         let schema = fig6_schema();

@@ -8,15 +8,14 @@
 //! must not poison the pool.
 //!
 //! Limits are exercised directly too: a zero deadline, a one-byte budget and
-//! a pre-cancelled context must abort all three engines (scalar, batched,
-//! parallel) with the identical typed error.
+//! a pre-cancelled context must abort all three engines (the scalar oracle,
+//! the morsel engine over the monolithic graph as the single-machine backend
+//! runs it, and the morsel engine over shards) with the identical typed error.
 //!
 //! The fail-point registry is process-global, so every test that arms points
 //! holds a serializing gate for its whole body.
 
-use gopt::exec::{
-    BatchEngine, Engine, EngineConfig, ExecError, LimitReason, ParallelEngine, QueryContext,
-};
+use gopt::exec::{Engine, EngineConfig, ExecError, LimitReason, ParallelEngine, QueryContext};
 use gopt::gir::pattern::Direction;
 use gopt::gir::physical::{PhysicalOp, PhysicalPlan};
 use gopt::gir::types::TypeConstraint;
@@ -118,10 +117,7 @@ fn chaos_plan(g: &PropertyGraph) -> PhysicalPlan {
     plan
 }
 
-const NO_LIMIT: EngineConfig = EngineConfig {
-    partitions: None,
-    record_limit: None,
-};
+const NO_LIMIT: EngineConfig = EngineConfig { record_limit: None };
 
 fn oracle_rows(g: &PropertyGraph, plan: &PhysicalPlan) -> Vec<Vec<PropValue>> {
     Engine::new(g, NO_LIMIT)
@@ -197,8 +193,8 @@ fn every_injected_fault_yields_typed_error_or_oracle_rows() {
 }
 
 /// `err` at the operator boundary — the one point all three engines share —
-/// produces the *identical* typed error on scalar, batched and parallel
-/// execution; `panic` produces the identical `WorkerPanicked` naming the same
+/// produces the *identical* typed error on the scalar oracle and on the morsel
+/// engine over the monolithic graph and over shards; `panic` produces the identical `WorkerPanicked` naming the same
 /// operator.
 #[test]
 fn operator_faults_fail_identically_on_all_three_engines() {
@@ -215,7 +211,7 @@ fn operator_faults_fail_identically_on_all_three_engines() {
         errors.push(Engine::new(&g, NO_LIMIT).execute(&plan).unwrap_err());
         failpoint::clear();
         failpoint::configure("exec.operator", action).unwrap();
-        errors.push(BatchEngine::new(&g, NO_LIMIT).execute(&plan).unwrap_err());
+        errors.push(ParallelEngine::new(&g).execute(&plan).unwrap_err());
         failpoint::clear();
         failpoint::configure("exec.operator", action).unwrap();
         errors.push(
@@ -225,8 +221,8 @@ fn operator_faults_fail_identically_on_all_three_engines() {
                 .unwrap_err(),
         );
         failpoint::clear();
-        assert_eq!(errors[0], errors[1], "scalar vs batched under {action}");
-        assert_eq!(errors[0], errors[2], "scalar vs parallel under {action}");
+        assert_eq!(errors[0], errors[1], "scalar vs monolithic under {action}");
+        assert_eq!(errors[0], errors[2], "scalar vs sharded under {action}");
         match action {
             "err(chaos)" => assert_eq!(
                 errors[0],
@@ -278,7 +274,7 @@ fn run_all_engines(
         Engine::new(g, NO_LIMIT)
             .execute_with_ctx(plan, ctx)
             .map(|r| r.rows()),
-        BatchEngine::new(g, NO_LIMIT)
+        ParallelEngine::new(g)
             .execute_with_ctx(plan, ctx)
             .map(|r| r.rows()),
         ParallelEngine::new(&sharded)
@@ -323,16 +319,20 @@ fn tiny_budget_fails_identically_everywhere() {
     }
 }
 
-/// A generous budget is charged without firing, and the metered total is
-/// identical wherever the per-engine heuristics coincide by construction —
-/// here we only assert it is non-zero and the query succeeds on all engines.
+/// A generous budget is charged without firing, and generous limits never
+/// perturb results: with a budget, a deadline and a record limit all armed
+/// far from firing, every engine returns the unrestricted rows and the
+/// budget meters a non-zero total.
 #[test]
 fn generous_budget_meters_without_firing() {
     let _gate = serial();
     let g = small_graph();
     let plan = chaos_plan(&g);
     let want = oracle_rows(&g, &plan);
-    let ctx = QueryContext::new().with_budget_bytes(1 << 30);
+    let ctx = QueryContext::new()
+        .with_budget_bytes(1 << 30)
+        .with_deadline_millis(3_600_000)
+        .with_record_limit(Some(1 << 40));
     for (i, r) in run_all_engines(&g, &plan, &ctx).into_iter().enumerate() {
         assert_eq!(r.unwrap(), want, "engine #{i}");
     }

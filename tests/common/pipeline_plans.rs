@@ -3,9 +3,10 @@
 //! every way a fused chain can end or be cut — dead and live slots, each
 //! sink, `Limit` mid-chain, `Union` and `HashJoin` over fused sides, empty
 //! input at every stage — over a small graph with nulls, strings beyond the
-//! packed-key width, floats, and a vertex variable that mixes labels.
+//! packed-key width, floats, and a vertex variable that mixes labels. Also
+//! the comparisons those suites make against the scalar oracle.
 
-use gopt_exec::{Engine, EngineConfig, ParallelEngine};
+use gopt_exec::{Engine, EngineConfig, ExecError, ExecResult, ParallelEngine};
 use gopt_gir::pattern::{Direction, PathSemantics};
 use gopt_gir::physical::{PhysicalOp, PhysicalPlan};
 use gopt_gir::types::TypeConstraint;
@@ -397,17 +398,77 @@ pub fn pipeline_plans(g: &PropertyGraph) -> Vec<(&'static str, PhysicalPlan)> {
     p.out
 }
 
-/// `plan` on the morsel engine at partitions {1, 2, 4} × `threads` × batch
-/// sizes {1, 3, 7, 1024} × {hash, greedy + hubs} placement: tags, rows, row
-/// order and record statistics must be the scalar oracle's, and the measured
-/// communication must not depend on the thread count.
+/// Morsel sizes every leg of the matrix runs at.
+pub const BATCH_SIZES: [usize; 4] = [1, 3, 7, 1024];
+
+/// Compare the engine's answer at `at` with the scalar oracle's: the same
+/// tags, rows in the same order and record statistics, or the same error.
+/// Returns the engine's result when both succeeded.
+pub fn check<'r>(
+    oracle: &Result<ExecResult, ExecError>,
+    got: &'r Result<ExecResult, ExecError>,
+    at: &str,
+) -> Option<&'r ExecResult> {
+    match (oracle, got) {
+        (Ok(oracle), Ok(got)) => {
+            assert_eq!(oracle.tags.tags(), got.tags.tags(), "tags at {at}");
+            assert_eq!(oracle.rows(), got.rows(), "rows at {at}");
+            assert_eq!(
+                (oracle.stats.intermediate_records, oracle.stats.peak_records),
+                (got.stats.intermediate_records, got.stats.peak_records),
+                "record statistics at {at}"
+            );
+            Some(got)
+        }
+        // under an armed `exec.operator` fail point both engines fail alike
+        (Err(want), Err(e)) => {
+            assert_eq!(want, e, "errors at {at}");
+            None
+        }
+        (oracle, got) => panic!("{at}: oracle {oracle:?}, engine {got:?}"),
+    }
+}
+
+/// The monolithic leg: `plan` on the engine over the unpartitioned graph,
+/// with no placement — as the single-machine backend runs it — at every
+/// batch size and each of `threads`. It must agree with `oracle` and charge
+/// no communication at all.
+pub fn assert_monolithic_agrees(
+    g: &PropertyGraph,
+    name: &str,
+    plan: &PhysicalPlan,
+    oracle: &Result<ExecResult, ExecError>,
+    record_limit: Option<u64>,
+    threads: &[usize],
+) {
+    for batch_size in BATCH_SIZES {
+        for &t in threads {
+            let at = format!("{name} monolithic t={t} bs={batch_size}");
+            let got = ParallelEngine::new(g)
+                .with_threads(t)
+                .with_batch_size(batch_size)
+                .with_record_limit(record_limit)
+                .execute(plan);
+            if let Some(got) = check(oracle, &got, &at) {
+                let s = &got.stats;
+                let shipped = (s.comm_records, s.comm_bytes, s.locality_hits);
+                assert_eq!(shipped, (0, 0, 0), "no placement, no charge ({at})");
+            }
+        }
+    }
+}
+
+/// `plan` on the morsel engine over the monolithic graph and at partitions
+/// {1, 2, 4} × `threads` × [`BATCH_SIZES`] × {hash, greedy + hubs}
+/// placement: tags, rows, row order and record statistics must be the scalar
+/// oracle's, and the measured communication must not depend on the thread
+/// count.
 pub fn assert_parallel_matrix(
     g: &PropertyGraph,
     name: &str,
     plan: &PhysicalPlan,
     threads: &[usize],
 ) {
-    // under an armed `exec.operator` fail point both engines fail alike
     let oracle = Engine::new(g, EngineConfig::default()).execute(plan);
     if let Ok(rows) = &oracle {
         let vacuous = name.starts_with("empty_") || name == "order_limit_zero";
@@ -417,6 +478,7 @@ pub fn assert_parallel_matrix(
             "{name}: rows exactly when inputs exist"
         );
     }
+    assert_monolithic_agrees(g, name, plan, &oracle, None, threads);
     for parts in [1usize, 2, 4] {
         let placements: &[(PartitionerSpec, usize)] = match parts {
             1 => &[(PartitionerSpec::Hash, 0)],
@@ -424,7 +486,7 @@ pub fn assert_parallel_matrix(
         };
         for &(spec, hubs) in placements {
             let sharded = PartitionedGraph::build_with_opts(g, spec.build(g, parts), hubs);
-            for batch_size in [1usize, 3, 7, 1024] {
+            for batch_size in BATCH_SIZES {
                 let mut comm = None;
                 for &t in threads {
                     let at = format!("{name} p={parts} t={t} bs={batch_size} {}", spec.name());
@@ -432,21 +494,9 @@ pub fn assert_parallel_matrix(
                         .with_threads(t)
                         .with_batch_size(batch_size)
                         .execute(plan);
-                    let (oracle, got) = match (&oracle, got) {
-                        (Ok(oracle), Ok(got)) => (oracle, got),
-                        (Err(want), Err(got)) => {
-                            assert_eq!(*want, got, "errors at {at}");
-                            continue;
-                        }
-                        (oracle, got) => panic!("{at}: oracle {oracle:?}, engine {got:?}"),
+                    let Some(got) = check(&oracle, &got, &at) else {
+                        continue;
                     };
-                    assert_eq!(oracle.tags.tags(), got.tags.tags(), "tags at {at}");
-                    assert_eq!(oracle.rows(), got.rows(), "rows at {at}");
-                    assert_eq!(
-                        (oracle.stats.intermediate_records, oracle.stats.peak_records),
-                        (got.stats.intermediate_records, got.stats.peak_records),
-                        "record statistics at {at}"
-                    );
                     let s = &got.stats;
                     let shipped = (s.comm_records, s.comm_bytes, s.locality_hits);
                     assert_eq!(

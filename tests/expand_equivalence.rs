@@ -95,7 +95,7 @@ fn edge_expand_matches_edge_list_reference() {
                 dst_predicate: &None,
                 edge_predicate: &None,
             };
-            let (out, _) = expand::edge_expand(&g, &input, &mut tags, &args, None).unwrap();
+            let out = expand::edge_expand(&g, &input, &mut tags, &args).unwrap();
             let (sa, sb, se) = (
                 tags.slot("a").unwrap(),
                 tags.slot("b").unwrap(),
@@ -151,7 +151,7 @@ fn expand_into_matches_edge_list_reference() {
         }
         for direction in [Direction::Out, Direction::In, Direction::Both] {
             let mut t = tags.clone();
-            let (out, _) = expand::expand_into(
+            let out = expand::expand_into(
                 &g,
                 &input,
                 &mut t,
@@ -161,7 +161,6 @@ fn expand_into_matches_edge_list_reference() {
                 direction,
                 Some("e"),
                 &None,
-                None,
             )
             .unwrap();
             let se = t.slot("e").unwrap();
@@ -229,7 +228,7 @@ fn expand_intersect_matches_set_intersection_reference() {
             dst_predicate: &None,
             edge_predicate: &None,
         };
-        let (pairs, _) = expand::edge_expand(&g, &input, &mut tags, &args, None).unwrap();
+        let pairs = expand::edge_expand(&g, &input, &mut tags, &args).unwrap();
         let steps = vec![
             IntersectStep {
                 src: "a".into(),
@@ -245,9 +244,8 @@ fn expand_intersect_matches_set_intersection_reference() {
             },
         ];
         let mut t = tags.clone();
-        let (out, _) =
-            expand::expand_intersect(&g, &pairs, &mut t, &steps, "c", &person(&g), &None, None)
-                .unwrap();
+        let out =
+            expand::expand_intersect(&g, &pairs, &mut t, &steps, "c", &person(&g), &None).unwrap();
         let (sa, sb) = (tags.slot("a").unwrap(), tags.slot("b").unwrap());
         let sc = t.slot("c").unwrap();
         // the operator emits candidates in ascending vertex order per record:
@@ -301,7 +299,7 @@ fn path_expand_matches_bfs_reference() {
         let input = person_scan(&g, &mut tags);
         for semantics in [PathSemantics::Arbitrary, PathSemantics::Simple] {
             let mut t = tags.clone();
-            let (out, _) = expand::path_expand(
+            let out = expand::path_expand(
                 &g,
                 &input,
                 &mut t,
@@ -313,7 +311,6 @@ fn path_expand_matches_bfs_reference() {
                 3,
                 semantics,
                 Some("p"),
-                None,
             )
             .unwrap();
             let sp = t.slot("p").unwrap();

@@ -1,10 +1,12 @@
-//! `ParallelEngine` vs scalar `Engine` equivalence: partitioned, morsel-driven
-//! parallel execution over sharded storage must return exactly the rows of the
-//! scalar single-partition oracle — for every workload query the repository
-//! ships (optimized by GOpt for both backend specs) and for randomized plan
-//! orders — at partitions {1, 2, 4} × threads {1, 2, 4}, with communication
-//! counts identical across thread counts (they are measured from the data, not
-//! from scheduling).
+//! `ParallelEngine` vs scalar `Engine` equivalence: morsel-driven execution
+//! must return exactly the rows of the scalar oracle — for every workload
+//! query the repository ships (optimized by GOpt for both backend specs), for
+//! randomized plan orders, and for typed and dictionary-string predicates,
+//! groups and sorts. Each plan runs over the monolithic graph with no
+//! placement (the single-machine backend's path, at several morsel sizes,
+//! charging nothing) and over sharded storage at partitions {1, 2, 4} ×
+//! threads {1, 2, 4}, with communication counts identical across thread
+//! counts (they are measured from the data, not from scheduling).
 //!
 //! The thread axis can be narrowed from the environment for CI matrix runs:
 //! `GOPT_THREADS=1,4` restricts the suite to those thread counts.
@@ -42,17 +44,20 @@ fn thread_matrix() -> Vec<usize> {
     }
 }
 
-/// Execute `plan` on the scalar single-partition oracle and on the parallel
-/// engine at every (partitioner, partition, thread) combination; rows
-/// (including order) and record statistics must match, and the measured
-/// communication must not depend on the thread count.
+const RECORD_LIMIT: Option<u64> = Some(3_000_000);
+
+/// Execute `plan` on the scalar oracle, on the engine over the monolithic
+/// graph, and on the engine over shards at every (partitioner, partition,
+/// thread) combination; rows (including order), tags, record statistics and
+/// errors must match, and the measured communication must not depend on the
+/// thread count.
 fn assert_parallel_agrees(g: &PropertyGraph, plan: &PhysicalPlan) {
     let config = EngineConfig {
-        partitions: None,
-        record_limit: Some(3_000_000),
+        record_limit: RECORD_LIMIT,
     };
     let oracle = Engine::new(g, config).execute(plan);
     let threads = thread_matrix();
+    pipeline_plans::assert_monolithic_agrees(g, "plan", plan, &oracle, RECORD_LIMIT, &threads);
     for parts in PARTITIONS {
         // placement axis: modulo hash, and (beyond one shard, where placement
         // matters) Fennel-style greedy with a few replicated hubs
@@ -68,58 +73,25 @@ fn assert_parallel_agrees(g: &PropertyGraph, plan: &PhysicalPlan) {
             for &t in &threads {
                 let got = ParallelEngine::new(&sharded)
                     .with_threads(t)
-                    .with_record_limit(Some(3_000_000))
+                    .with_record_limit(RECORD_LIMIT)
                     .execute(plan);
-                match (&oracle, &got) {
-                    (Ok(o), Ok(r)) => {
-                        assert_same(o, r, parts, t);
-                        let s = &r.stats;
-                        let comm = (s.comm_records, s.comm_bytes, s.locality_hits);
-                        assert_eq!(
-                            *comm_seen.get_or_insert(comm),
-                            comm,
-                            "communication depends on thread count \
-                             (p={parts}, t={t}, partitioner={name})"
-                        );
-                        if parts == 1 {
-                            assert_eq!(comm, (0, 0, 0), "a single partition ships nothing (t={t})");
-                        }
-                    }
-                    (Err(eo), Err(eg)) => assert_eq!(
-                        eo, eg,
-                        "errors diverge (p={parts}, t={t}, partitioner={name})"
-                    ),
-                    _ => panic!(
-                        "one engine failed where the other succeeded \
-                         (p={parts}, t={t}, partitioner={name}): \
-                         oracle={oracle:?} parallel={got:?}"
-                    ),
+                let at = format!("p={parts} t={t} partitioner={name}");
+                let Some(r) = pipeline_plans::check(&oracle, &got, &at) else {
+                    continue;
+                };
+                let s = &r.stats;
+                let comm = (s.comm_records, s.comm_bytes, s.locality_hits);
+                assert_eq!(
+                    *comm_seen.get_or_insert(comm),
+                    comm,
+                    "communication depends on thread count ({at})"
+                );
+                if parts == 1 {
+                    assert_eq!(comm, (0, 0, 0), "a single partition ships nothing ({at})");
                 }
             }
         }
     }
-}
-
-fn assert_same(oracle: &ExecResult, got: &ExecResult, parts: usize, threads: usize) {
-    assert_eq!(
-        oracle.tags.tags(),
-        got.tags.tags(),
-        "tag maps diverge (p={parts}, t={threads})"
-    );
-    // exact rows in exact order — parallelism must not reorder results
-    assert_eq!(
-        oracle.rows(),
-        got.rows(),
-        "rows diverge (p={parts}, t={threads})"
-    );
-    assert_eq!(
-        oracle.stats.intermediate_records, got.stats.intermediate_records,
-        "intermediate records diverge (p={parts}, t={threads})"
-    );
-    assert_eq!(
-        oracle.stats.peak_records, got.stats.peak_records,
-        "peak records diverge (p={parts}, t={threads})"
-    );
 }
 
 fn ldbc_env() -> (PropertyGraph, GLogue) {
@@ -249,28 +221,146 @@ fn typed_group_keys_agree_across_partitions_and_threads() {
     }
 }
 
-/// String-heavy plans over dictionary-encoded columns under morsel-driven
-/// parallel execution: rank-based `Str` predicates, `HashGroup`/`OrderLimit`
-/// on `Str` keys (packed prefix keys for short strings, row-wise fallback
-/// beyond 8 bytes), deduplication on strings. Shards build their dictionaries
-/// independently, so this also checks that shard-local codes never leak into
-/// cross-shard comparisons.
-#[test]
-fn string_plans_agree_across_partitions_and_threads() {
-    use gopt::gir::expr::{BinOp, SortDir};
+/// `Scan(Person) → EdgeExpand(Knows, e) → b`, the input of the predicate and
+/// string suites.
+fn knows_expand(g: &PropertyGraph) -> PhysicalPlan {
     use gopt::gir::pattern::Direction;
     use gopt::gir::physical::PhysicalOp;
     use gopt::gir::types::TypeConstraint;
-    use gopt::gir::{AggFunc, Expr};
+    let person = TypeConstraint::basic(g.schema().vertex_label("Person").unwrap());
+    let knows = TypeConstraint::basic(g.schema().edge_label("Knows").unwrap());
+    let mut plan = PhysicalPlan::new();
+    plan.push(PhysicalOp::Scan {
+        alias: "a".into(),
+        constraint: person.clone(),
+        predicate: None,
+    });
+    plan.push(PhysicalOp::EdgeExpand {
+        src: "a".into(),
+        edge_alias: Some("e".into()),
+        edge_constraint: knows,
+        direction: Direction::Out,
+        dst_alias: "b".into(),
+        dst_constraint: person,
+        dst_predicate: None,
+        edge_predicate: None,
+    });
+    plan
+}
+
+/// Typed-property predicate coverage: plans filtering and projecting over
+/// dense, sparse, mixed and all-null property columns. The engine's `Select`
+/// takes the typed column kernels where the predicate shape allows, the
+/// row-wise evaluator elsewhere; the oracle evaluates every row boxed.
+#[test]
+fn typed_property_predicates_agree_with_the_scalar_oracle() {
+    use gopt::gir::expr::{BinOp, Expr};
+    use gopt::gir::physical::PhysicalOp;
+    use gopt::graph::graph::GraphBuilder;
+    use gopt::graph::PropValue;
+
+    let mut b = GraphBuilder::new(fig6_schema());
+    let mut persons = Vec::new();
+    for i in 0..12i64 {
+        let mut props = vec![
+            ("age", PropValue::Int(20 + i)),             // dense Int
+            ("score", PropValue::Float(i as f64 / 3.0)), // dense Float
+            ("nick", PropValue::str(format!("p{i}"))),   // dense Str
+        ];
+        if i % 3 == 0 {
+            props.push(("seen", PropValue::Date(7000 + i))); // sparse Date
+        }
+        props.push(if i < 6 {
+            ("tag", PropValue::Int(i)) // mixed column: Int then Str cells
+        } else {
+            ("tag", PropValue::str("t"))
+        });
+        persons.push(b.add_vertex_by_name("Person", props).unwrap());
+    }
+    // `capacity` exists only on Places: all-null from Person's point of view
+    b.add_vertex_by_name("Place", vec![("capacity", PropValue::Int(9))])
+        .unwrap();
+    for w in persons.windows(2) {
+        let since = vec![("since", PropValue::Int(w[1].0 as i64))];
+        b.add_edge_by_name("Knows", w[0], w[1], since).unwrap();
+    }
+    let graph = b.finish();
+
+    let predicates: Vec<Expr> = vec![
+        // dense Int: kernel hit
+        Expr::binary(BinOp::Lt, Expr::prop("b", "age"), Expr::lit(27)),
+        // literal-on-the-left flips the operator
+        Expr::binary(BinOp::Ge, Expr::lit(27), Expr::prop("b", "age")),
+        // sparse Date: null bitmap consulted
+        Expr::binary(
+            BinOp::Le,
+            Expr::prop("b", "seen"),
+            Expr::lit(PropValue::Date(7006)),
+        ),
+        // cross-kind: Date column vs Int literal is a constant ordering
+        Expr::binary(BinOp::Gt, Expr::prop("b", "seen"), Expr::lit(0)),
+        // Float vs Int literal compares numerically
+        Expr::binary(BinOp::Gt, Expr::prop("b", "score"), Expr::lit(2)),
+        Expr::prop_eq("b", "nick", "p4"),
+        // mixed column: per-cell fallback inside the kernel
+        Expr::binary(BinOp::Lt, Expr::prop("b", "tag"), Expr::lit(4)),
+        // all-null (absent-on-label) column and unknown key
+        Expr::prop_eq("b", "capacity", 9),
+        Expr::prop_eq("b", "no_such_key", 1),
+        // AND/OR over sparse + dense leaves
+        Expr::binary(BinOp::Lt, Expr::prop("b", "age"), Expr::lit(29)).and(Expr::binary(
+            BinOp::Ge,
+            Expr::prop("b", "seen"),
+            Expr::lit(PropValue::Date(0)),
+        )),
+        Expr::binary(
+            BinOp::Or,
+            Expr::prop_eq("b", "nick", "p2"),
+            Expr::binary(BinOp::Gt, Expr::prop("e", "since"), Expr::lit(8)),
+        ),
+        // shapes the kernel rejects: the row-wise path must agree too
+        Expr::binary(
+            BinOp::Lt,
+            Expr::binary(BinOp::Add, Expr::prop("b", "age"), Expr::lit(1)),
+            Expr::lit(26),
+        ),
+        Expr::binary(BinOp::Eq, Expr::prop("b", "age"), Expr::prop("b", "tag")),
+    ];
+    for predicate in predicates {
+        let mut plan = knows_expand(&graph);
+        plan.push(PhysicalOp::Select { predicate });
+        plan.push(PhysicalOp::Project {
+            items: vec![
+                (Expr::prop("b", "age"), "age".into()),
+                (Expr::prop("b", "tag"), "tag".into()),
+                (Expr::prop("b", "seen"), "seen".into()),
+            ],
+        });
+        assert_parallel_agrees(&graph, &plan);
+    }
+}
+
+/// String-heavy plans over dictionary-encoded `Str` columns: equality and
+/// range predicates (rank comparisons over `u32` codes), `HashGroup` and
+/// `OrderLimit` on `Str` keys (packed prefix keys for short strings,
+/// row-wise fallback beyond 8 bytes) and deduplication on strings. Strings
+/// hit every packing regime: short (≤ 8 bytes), long (> 8 bytes), sharing an
+/// 8-byte prefix, empty, and absent (null bitmap). Shards build their
+/// dictionaries independently, so this also checks that shard-local codes
+/// never leak into cross-shard comparisons.
+#[test]
+fn string_plans_agree_across_partitions_and_threads() {
+    use gopt::gir::expr::{AggFunc, BinOp, Expr, SortDir};
+    use gopt::gir::physical::PhysicalOp;
     use gopt::graph::graph::GraphBuilder;
     use gopt::graph::PropValue;
     let cities = [
-        "Oslo",
-        "Rio",
-        "Konstantinopel",
-        "Konstanz",
-        "Konstanz\u{0131}",
-        "",
+        "Oslo",             // short: packs into the prefix key
+        "Rio",              // short
+        "Konstantinopel",   // long: > 8 bytes, the packed path bails
+        "Konstanz",         // exactly 8 bytes, still packable
+        "Konstanz\u{0131}", // > 8 bytes sharing an 8-byte prefix
+        "",                 // the empty string is a valid dictionary entry
     ];
     let mut b = GraphBuilder::new(fig6_schema());
     let mut people = Vec::new();
@@ -279,6 +369,8 @@ fn string_plans_agree_across_partitions_and_threads() {
         if i % 5 != 0 {
             props.push(("city", PropValue::str(cities[i as usize % cities.len()])));
         }
+        // nine-byte keys: grouping on them takes the row-wise path
+        props.push(("nick", PropValue::str(format!("person_{:02}", i % 9))));
         people.push(b.add_vertex_by_name("Person", props).unwrap());
     }
     for i in 1..30usize {
@@ -286,73 +378,88 @@ fn string_plans_agree_across_partitions_and_threads() {
             .unwrap();
     }
     let g = b.finish();
-    let person = TypeConstraint::basic(g.schema().vertex_label("Person").unwrap());
-    let knows = TypeConstraint::basic(g.schema().edge_label("Knows").unwrap());
-    let expand = |plan: &mut PhysicalPlan| {
-        plan.push(PhysicalOp::Scan {
-            alias: "a".into(),
-            constraint: person.clone(),
-            predicate: None,
-        });
-        plan.push(PhysicalOp::EdgeExpand {
-            src: "a".into(),
-            edge_alias: None,
-            edge_constraint: knows.clone(),
-            direction: Direction::Out,
-            dst_alias: "b".into(),
-            dst_constraint: person.clone(),
-            dst_predicate: None,
-            edge_predicate: None,
-        });
-    };
-    // rank-based predicates, including a needle absent from the dictionary
+    let mut plans = Vec::new();
+    // rank-based predicates, including needles absent from the dictionary
     for predicate in [
         Expr::prop_eq("b", "city", "Oslo"),
+        Expr::prop_eq("b", "city", "Konstantinopel"),
         Expr::prop_eq("b", "city", "Paris"),
+        Expr::prop_eq("b", "city", ""),
         Expr::binary(
             BinOp::Lt,
             Expr::prop("b", "city"),
             Expr::lit(PropValue::str("Konstanz")),
         ),
         Expr::binary(
+            BinOp::Ge,
+            Expr::prop("b", "city"),
+            Expr::lit(PropValue::str("Konstanz")),
+        ),
+        // the prefix-sharing pair must order correctly beyond 8 bytes
+        Expr::binary(
             BinOp::Gt,
             Expr::prop("b", "city"),
             Expr::lit(PropValue::str("Konstanz\u{0130}")),
         ),
+        // Str column vs Int literal: cross-kind constant ordering
+        Expr::binary(BinOp::Gt, Expr::prop("b", "city"), Expr::lit(5)),
     ] {
-        let mut plan = PhysicalPlan::new();
-        expand(&mut plan);
+        let mut plan = knows_expand(&g);
         plan.push(PhysicalOp::Select { predicate });
         plan.push(PhysicalOp::Project {
             items: vec![(Expr::prop("b", "city"), "city".into())],
         });
-        assert_parallel_agrees(&g, &plan);
+        plans.push(plan);
     }
-    // group and sort on the Str key; Min over strings crosses shards
-    let mut group = PhysicalPlan::new();
-    expand(&mut group);
+    // group and sort on the Str key; Min/Max over strings cross shards
+    let mut group = knows_expand(&g);
     group.push(PhysicalOp::HashGroup {
         keys: vec![(Expr::prop("b", "city"), "city".into())],
         aggs: vec![
             (AggFunc::Count, Expr::tag("a"), "cnt".into()),
             (AggFunc::Max, Expr::prop("b", "city"), "max_city".into()),
+            (AggFunc::Min, Expr::prop("b", "nick"), "first_nick".into()),
         ],
     });
     group.push(PhysicalOp::OrderLimit {
         keys: vec![(Expr::tag("city"), SortDir::Desc)],
         limit: Some(4),
     });
-    assert_parallel_agrees(&g, &group);
+    plans.push(group);
+    // grouping on the long `nick` key
+    let mut group_long = knows_expand(&g);
+    group_long.push(PhysicalOp::HashGroup {
+        keys: vec![(Expr::prop("b", "nick"), "nick".into())],
+        aggs: vec![(AggFunc::Count, Expr::tag("b"), "n".into())],
+    });
+    plans.push(group_long);
+    // OrderLimit on Str keys, both directions, with and without top-k
+    for (dir, limit) in [(SortDir::Asc, None), (SortDir::Desc, Some(7))] {
+        let mut order = knows_expand(&g);
+        order.push(PhysicalOp::Project {
+            items: vec![
+                (Expr::prop("b", "city"), "city".into()),
+                (Expr::prop("b", "age"), "age".into()),
+            ],
+        });
+        order.push(PhysicalOp::OrderLimit {
+            keys: vec![(Expr::tag("city"), dir), (Expr::tag("age"), SortDir::Asc)],
+            limit,
+        });
+        plans.push(order);
+    }
     // dedup on strings
-    let mut dedup = PhysicalPlan::new();
-    expand(&mut dedup);
+    let mut dedup = knows_expand(&g);
     dedup.push(PhysicalOp::Project {
         items: vec![(Expr::prop("b", "city"), "city".into())],
     });
     dedup.push(PhysicalOp::Dedup {
         keys: vec![Expr::tag("city")],
     });
-    assert_parallel_agrees(&g, &dedup);
+    plans.push(dedup);
+    for plan in &plans {
+        assert_parallel_agrees(&g, plan);
+    }
 }
 
 /// Randomized (but valid) plan orders over random graphs with both expansion

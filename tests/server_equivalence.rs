@@ -8,7 +8,7 @@
 //! The thread axis can be narrowed from the environment for CI matrix runs:
 //! `GOPT_THREADS=1,4` restricts the suite to those thread counts.
 
-use gopt::exec::{Backend, ExecMode, SingleMachineBackend};
+use gopt::exec::{Engine, EngineConfig};
 use gopt::glogue::{GLogue, GLogueConfig};
 use gopt::graph::{PartitionerSpec, PropValue, PropertyGraph};
 use gopt::server::{Server, ServerConfig};
@@ -50,9 +50,8 @@ fn workload() -> Vec<NamedQuery> {
 /// Rows of `plan` on the scalar single-machine oracle — the strictest
 /// reference: no batching, no partitioning, no worker pool.
 fn oracle_rows(graph: &PropertyGraph, plan: &gopt::gir::PhysicalPlan) -> Vec<Vec<PropValue>> {
-    SingleMachineBackend::new()
-        .with_mode(ExecMode::Scalar)
-        .execute(graph, plan)
+    Engine::new(graph, EngineConfig::default())
+        .execute(plan)
         .expect("oracle executes")
         .rows()
 }

@@ -6,7 +6,7 @@
 //! version so no plan optimized for the previous graph is ever served from
 //! the cache.
 
-use gopt::exec::{Backend, ExecMode, SingleMachineBackend};
+use gopt::exec::{Engine, EngineConfig};
 use gopt::glogue::{GLogue, GLogueConfig};
 use gopt::graph::stats::GraphStats;
 use gopt::graph::{image, PartitionedGraph, PropertyGraph};
@@ -56,7 +56,6 @@ fn server_booted_from_image_is_oracle_equivalent() {
     // the image's statistics were installed under a bumped version
     assert_ne!(from_image.stats_version(), 0);
 
-    let oracle = SingleMachineBackend::new().with_mode(ExecMode::Scalar);
     let a = in_process.session();
     let b = from_image.session();
     for q in workload() {
@@ -69,8 +68,8 @@ fn server_booted_from_image_is_oracle_equivalent() {
         );
         // both must equal the scalar oracle run of the booted server's plan
         let out = b.submit(&q.text).expect("submit");
-        let want = oracle
-            .execute(&from_image.graph(), &out.exec_plan)
+        let want = Engine::new(&from_image.graph(), EngineConfig::default())
+            .execute(&out.exec_plan)
             .expect("oracle executes")
             .rows();
         assert_eq!(
