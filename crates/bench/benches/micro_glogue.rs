@@ -1,5 +1,5 @@
-//! Criterion micro-benchmarks of the statistics layer: GLogue construction (k=2 vs k=3,
-//! the ablation of DESIGN.md) and cardinality estimation for union-typed patterns.
+//! Criterion micro-benchmarks of the statistics layer: GLogue construction (k=2 vs k=3
+//! mined pattern sizes) and cardinality estimation for union-typed patterns.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gopt_bench::{cypher, Env};

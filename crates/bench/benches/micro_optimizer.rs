@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the optimizer itself: planning time for the complex
-//! QC4a pattern with and without branch-and-bound pruning (the ablation called out in
-//! DESIGN.md), plus the RBO and type-inference stages.
+//! QC4a pattern with and without branch-and-bound pruning (the paper's planning-time
+//! ablation, `PatternPlanner::disable_pruning`), plus the RBO and type-inference stages.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gopt_bench::{cypher, Env};

@@ -19,7 +19,8 @@
 
 use gopt_gir::pattern::{Pattern, PatternEdgeId, PatternVertexId};
 use gopt_glogue::{CardEstimator, ConstSelectivity, SelectivityEstimator};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 
 /// The selectivity fallback every planner starts from: no statistics, so each
 /// filtered element is priced at `gopt_glogue::DEFAULT_SELECTIVITY` (Remark
@@ -239,13 +240,330 @@ impl PatternPlan {
     }
 }
 
-type MemoKey = (Vec<usize>, Vec<usize>);
+/// A sub-pattern of the pattern being planned, as bitmasks: bit `i` of `vertices`
+/// (`edges`) stands for the planned pattern's `i`-th vertex (edge) id, in id order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct SubPattern {
+    vertices: u64,
+    edges: u64,
+}
 
-fn memo_key(p: &Pattern) -> MemoKey {
-    (
-        p.vertex_ids().iter().map(|v| v.0).collect(),
-        p.edge_ids().iter().map(|e| e.0).collect(),
-    )
+/// The positions of the set bits of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// The pattern one `plan` call searches, with its ids indexed for [`SubPattern`] masks.
+struct Indexed<'p> {
+    pattern: &'p Pattern,
+    vertex_ids: Vec<PatternVertexId>,
+    edge_ids: Vec<PatternEdgeId>,
+    /// The vertex bits of each edge's endpoints.
+    ends: Vec<(usize, usize)>,
+    /// The edges incident to each vertex.
+    incident: Vec<u64>,
+}
+
+impl<'p> Indexed<'p> {
+    /// `None` when the pattern has more than 64 vertices or edges.
+    fn new(pattern: &'p Pattern) -> Option<Self> {
+        let vertex_ids = pattern.vertex_ids();
+        let edge_ids = pattern.edge_ids();
+        if vertex_ids.len() > 64 || edge_ids.len() > 64 {
+            return None;
+        }
+        let bit = |v| {
+            vertex_ids
+                .binary_search(&v)
+                .expect("edge endpoint in pattern")
+        };
+        let ends: Vec<(usize, usize)> = pattern.edges().map(|e| (bit(e.src), bit(e.dst))).collect();
+        let mut incident = vec![0u64; vertex_ids.len()];
+        for (i, &(a, b)) in ends.iter().enumerate() {
+            incident[a] |= 1 << i;
+            incident[b] |= 1 << i;
+        }
+        Some(Indexed {
+            pattern,
+            vertex_ids,
+            edge_ids,
+            ends,
+            incident,
+        })
+    }
+
+    /// The masks of `p`, or `None` if it has an id the planned pattern does not.
+    fn masks(&self, p: &Pattern) -> Option<SubPattern> {
+        let mut s = SubPattern {
+            vertices: 0,
+            edges: 0,
+        };
+        for v in p.vertices() {
+            s.vertices |= 1 << self.vertex_ids.binary_search(&v.id).ok()?;
+        }
+        for e in p.edges() {
+            s.edges |= 1 << self.edge_ids.binary_search(&e.id).ok()?;
+        }
+        Some(s)
+    }
+
+    /// The sub-pattern spanned by `edges`: those edges and their endpoints.
+    fn spanned_by(&self, edges: u64) -> SubPattern {
+        let vertices = bits(edges).fold(0, |m, e| {
+            let (a, b) = self.ends[e];
+            m | 1 << a | 1 << b
+        });
+        SubPattern { vertices, edges }
+    }
+
+    /// [`Pattern::is_connected`] on masks.
+    fn is_connected(&self, s: SubPattern) -> bool {
+        if s.vertices.count_ones() <= 1 {
+            return true;
+        }
+        let mut seen = s.vertices & s.vertices.wrapping_neg();
+        loop {
+            let grown = bits(s.edges).fold(seen, |m, e| {
+                let (a, b) = self.ends[e];
+                if seen & (1 << a | 1 << b) != 0 {
+                    m | 1 << a | 1 << b
+                } else {
+                    m
+                }
+            });
+            if grown == seen {
+                return seen == s.vertices;
+            }
+            seen = grown;
+        }
+    }
+
+    fn vertices_of(&self, mask: u64) -> Vec<PatternVertexId> {
+        bits(mask).map(|i| self.vertex_ids[i]).collect()
+    }
+
+    fn edges_of(&self, mask: u64) -> Vec<PatternEdgeId> {
+        bits(mask).map(|i| self.edge_ids[i]).collect()
+    }
+
+    /// The sub-pattern as a [`Pattern`], ids preserved.
+    fn materialise(&self, s: SubPattern) -> Pattern {
+        self.pattern.induced(
+            &self.vertices_of(s.vertices).into_iter().collect(),
+            &self.edges_of(s.edges).into_iter().collect(),
+        )
+    }
+}
+
+/// A per-`plan` memo of filter-aware frequencies, keyed by [`SubPattern`] masks, that
+/// the planner and both `PhysicalSpec` cost functions query: each distinct sub-pattern
+/// reaches the wrapped estimator (and is canonicalised) once per search. A pattern with
+/// ids outside the planned pattern, or priced by another selectivity estimator, passes
+/// straight through. Patterns with the planned pattern's ids are taken to be its
+/// sub-patterns, as every pattern the planner hands a cost function is.
+struct MemoEstimator<'a> {
+    inner: &'a dyn CardEstimator,
+    sel: &'a dyn SelectivityEstimator,
+    index: &'a Indexed<'a>,
+    freqs: RefCell<HashMap<SubPattern, f64>>,
+}
+
+impl CardEstimator for MemoEstimator<'_> {
+    fn pattern_freq(&self, pattern: &Pattern) -> f64 {
+        self.inner.pattern_freq(pattern)
+    }
+
+    fn pattern_freq_with_filters(&self, pattern: &Pattern, sel: &dyn SelectivityEstimator) -> f64 {
+        let key = self.index.masks(pattern);
+        let Some(key) = key.filter(|_| std::ptr::addr_eq(sel, self.sel)) else {
+            return self.inner.pattern_freq_with_filters(pattern, sel);
+        };
+        if let Some(f) = self.freqs.borrow().get(&key) {
+            return *f;
+        }
+        let f = self.inner.pattern_freq_with_filters(pattern, sel);
+        self.freqs.borrow_mut().insert(key, f);
+        f
+    }
+}
+
+/// How the best plan of one sub-pattern was found; sub-plans are memo keys, so the
+/// memo stays flat and the plan tree is built once, at the end.
+enum Choice {
+    Scan(PatternVertexId),
+    Expand {
+        input: SubPattern,
+        new_vertex: PatternVertexId,
+        edges: Vec<PatternEdgeId>,
+    },
+    Join {
+        left: SubPattern,
+        right: SubPattern,
+        keys: Vec<PatternVertexId>,
+    },
+}
+
+struct Entry {
+    cost: f64,
+    est_rows: f64,
+    choice: Choice,
+}
+
+/// The state of one branch-and-bound search (Algorithm 2).
+struct Search<'s> {
+    planner: &'s PatternPlanner<'s>,
+    index: &'s Indexed<'s>,
+    est: &'s MemoEstimator<'s>,
+    budget: f64,
+    memo: HashMap<SubPattern, Entry>,
+}
+
+impl Search<'_> {
+    /// The cost of the best plan for `s`, memoized.
+    fn search(&mut self, s: SubPattern) -> f64 {
+        if let Some(e) = self.memo.get(&s) {
+            return e.cost;
+        }
+        let planner = self.planner;
+        let (spec, sel) = (planner.spec, planner.selectivity);
+        let pattern = self.index.materialise(s);
+        let freq = self.est.pattern_freq_with_filters(&pattern, sel);
+        if s.vertices.count_ones() == 1 {
+            let vertex = self.index.vertex_ids[s.vertices.trailing_zeros() as usize];
+            let scan = Entry {
+                cost: freq,
+                est_rows: freq,
+                choice: Choice::Scan(vertex),
+            };
+            self.memo.insert(s, scan);
+            return freq;
+        }
+        let comm = spec.comm_weight();
+        let mut best: Option<Entry> = None;
+        // Expand candidates: remove a vertex whose removal keeps the remainder connected
+        for v in bits(s.vertices) {
+            let incident = self.index.incident[v] & s.edges;
+            if incident == 0 {
+                continue;
+            }
+            let rest = SubPattern {
+                vertices: s.vertices & !(1 << v),
+                edges: s.edges & !incident,
+            };
+            if !self.index.is_connected(rest) {
+                continue;
+            }
+            let new_vertex = self.index.vertex_ids[v];
+            let edges = self.index.edges_of(incident);
+            let remainder = self.index.materialise(rest);
+            let op_cost = spec.expand_cost(self.est, sel, &remainder, &pattern, new_vertex, &edges);
+            let noncumulative = op_cost + comm * freq;
+            if !planner.disable_pruning && best.is_some() && noncumulative >= self.budget {
+                continue; // branch cannot beat the known bound
+            }
+            let cost = self.search(rest) + noncumulative;
+            if best.as_ref().is_none_or(|b| cost < b.cost) {
+                best = Some(Entry {
+                    cost,
+                    est_rows: freq,
+                    choice: Choice::Expand {
+                        input: rest,
+                        new_vertex,
+                        edges,
+                    },
+                });
+            }
+        }
+        // Join candidates
+        let n = s.edges.count_ones() as usize;
+        if n >= 2 && n <= planner.max_join_edges {
+            let edge_bits: Vec<usize> = bits(s.edges).collect();
+            // iterate proper non-empty subsets that contain the first edge (dedups the
+            // symmetric split)
+            for mask in 1u64..(1 << (n - 1)) {
+                let mut left_edges = 1u64 << edge_bits[0];
+                for (i, &e) in edge_bits.iter().enumerate().skip(1) {
+                    if mask & (1 << (i - 1)) != 0 {
+                        left_edges |= 1 << e;
+                    }
+                }
+                let right_edges = s.edges & !left_edges;
+                if right_edges == 0 {
+                    continue;
+                }
+                let left = self.index.spanned_by(left_edges);
+                let right = self.index.spanned_by(right_edges);
+                if !self.index.is_connected(left) || !self.index.is_connected(right) {
+                    continue;
+                }
+                let keys = left.vertices & right.vertices;
+                if keys == 0 {
+                    continue;
+                }
+                let op_cost = spec.join_cost(
+                    self.est,
+                    sel,
+                    &self.index.materialise(left),
+                    &self.index.materialise(right),
+                );
+                let noncumulative = op_cost + comm * freq;
+                if !planner.disable_pruning && best.is_some() && noncumulative >= self.budget {
+                    continue;
+                }
+                let cost = self.search(left) + self.search(right) + noncumulative;
+                if best.as_ref().is_none_or(|b| cost < b.cost) {
+                    best = Some(Entry {
+                        cost,
+                        est_rows: freq,
+                        choice: Choice::Join {
+                            left,
+                            right,
+                            keys: self.index.vertices_of(keys),
+                        },
+                    });
+                }
+            }
+        }
+        // the first candidate is never pruned, and a connected pattern has a vertex
+        // whose removal keeps it connected
+        let best = best.expect("a connected pattern has an expand candidate");
+        let cost = best.cost;
+        self.memo.insert(s, best);
+        cost
+    }
+
+    /// The plan tree of a searched sub-pattern.
+    fn build(&self, s: SubPattern) -> PatternPlan {
+        let e = &self.memo[&s];
+        let step = match &e.choice {
+            Choice::Scan(vertex) => PatternStep::Scan { vertex: *vertex },
+            Choice::Expand {
+                input,
+                new_vertex,
+                edges,
+            } => PatternStep::Expand {
+                input: Box::new(self.build(*input)),
+                new_vertex: *new_vertex,
+                edges: edges.clone(),
+            },
+            Choice::Join { left, right, keys } => PatternStep::Join {
+                left: Box::new(self.build(*left)),
+                right: Box::new(self.build(*right)),
+                keys: keys.clone(),
+            },
+        };
+        PatternPlan {
+            step,
+            cost: e.cost,
+            est_rows: e.est_rows,
+        }
+    }
 }
 
 /// The top-down, branch-and-bound pattern planner (Algorithm 2).
@@ -283,20 +601,32 @@ impl<'a> PatternPlanner<'a> {
         self
     }
 
-    fn freq(&self, p: &Pattern) -> f64 {
-        self.estimator
-            .pattern_freq_with_filters(p, self.selectivity)
-    }
-
     /// Find the (estimated) optimal plan for `pattern`.
+    ///
+    /// The search memoizes sub-plans and sub-pattern frequencies by vertex and edge
+    /// bitmasks, so a pattern with more than 64 vertices or edges gets the greedy plan.
     pub fn plan(&self, pattern: &Pattern) -> PatternPlan {
         assert!(pattern.vertex_count() > 0, "cannot plan an empty pattern");
-        let greedy = self.greedy_initial(pattern);
-        let budget = greedy.cost;
-        let mut memo: BTreeMap<MemoKey, PatternPlan> = BTreeMap::new();
-        let searched = self.search(pattern, &mut memo, budget);
-        if searched.cost <= greedy.cost {
-            searched
+        let Some(index) = Indexed::new(pattern) else {
+            return self.greedy_initial(pattern);
+        };
+        let est = MemoEstimator {
+            inner: self.estimator,
+            sel: self.selectivity,
+            index: &index,
+            freqs: RefCell::new(HashMap::new()),
+        };
+        let greedy = self.greedy(&est, pattern);
+        let mut search = Search {
+            planner: self,
+            index: &index,
+            est: &est,
+            budget: greedy.cost,
+            memo: HashMap::new(),
+        };
+        let whole = index.masks(pattern).expect("a pattern has its own ids");
+        if search.search(whole) <= greedy.cost {
+            search.build(whole)
         } else {
             greedy
         }
@@ -305,14 +635,19 @@ impl<'a> PatternPlanner<'a> {
     /// Greedy initial solution: start from the cheapest vertex and repeatedly expand the
     /// cheapest adjacent vertex. Provides the bound used to prune the exact search.
     pub fn greedy_initial(&self, pattern: &Pattern) -> PatternPlan {
+        self.greedy(self.estimator, pattern)
+    }
+
+    fn greedy(&self, est: &dyn CardEstimator, pattern: &Pattern) -> PatternPlan {
+        let freq = |p: &Pattern| est.pattern_freq_with_filters(p, self.selectivity);
         let comm = self.spec.comm_weight();
         // cheapest starting vertex
         let start = pattern
             .vertex_ids()
             .into_iter()
             .min_by(|a, b| {
-                let fa = self.freq(&pattern.single_vertex(*a));
-                let fb = self.freq(&pattern.single_vertex(*b));
+                let fa = freq(&pattern.single_vertex(*a));
+                let fb = freq(&pattern.single_vertex(*b));
                 fa.total_cmp(&fb)
             })
             .expect("non-empty pattern");
@@ -320,8 +655,8 @@ impl<'a> PatternPlanner<'a> {
         let mut bound_edges: BTreeSet<PatternEdgeId> = BTreeSet::new();
         let single = pattern.single_vertex(start);
         let mut plan = PatternPlan {
-            cost: self.freq(&single),
-            est_rows: self.freq(&single),
+            cost: freq(&single),
+            est_rows: freq(&single),
             step: PatternStep::Scan { vertex: start },
         };
         while bound.len() < pattern.vertex_count() {
@@ -349,15 +684,10 @@ impl<'a> PatternPlanner<'a> {
                 let mut new_vertices = bound.clone();
                 new_vertices.insert(v);
                 let next = pattern.induced(&new_vertices, &new_edges);
-                let op_cost = self.spec.expand_cost(
-                    self.estimator,
-                    self.selectivity,
-                    &ps,
-                    pattern,
-                    v,
-                    &connecting,
-                );
-                let step_cost = op_cost + comm * self.freq(&next);
+                let op_cost =
+                    self.spec
+                        .expand_cost(est, self.selectivity, &ps, pattern, v, &connecting);
+                let step_cost = op_cost + comm * freq(&next);
                 if best.as_ref().is_none_or(|(c, ..)| step_cost < *c) {
                     best = Some((step_cost, v, connecting, next));
                 }
@@ -365,7 +695,7 @@ impl<'a> PatternPlanner<'a> {
             let (step_cost, v, connecting, next) = best.expect("pattern is connected");
             plan = PatternPlan {
                 cost: plan.cost + step_cost,
-                est_rows: self.freq(&next),
+                est_rows: freq(&next),
                 step: PatternStep::Expand {
                     input: Box::new(plan),
                     new_vertex: v,
@@ -376,122 +706,6 @@ impl<'a> PatternPlanner<'a> {
             bound_edges.extend(connecting);
         }
         plan
-    }
-
-    fn search(
-        &self,
-        pattern: &Pattern,
-        memo: &mut BTreeMap<MemoKey, PatternPlan>,
-        budget: f64,
-    ) -> PatternPlan {
-        let key = memo_key(pattern);
-        if let Some(p) = memo.get(&key) {
-            return p.clone();
-        }
-        let freq = self.freq(pattern);
-        if pattern.vertex_count() == 1 {
-            let plan = PatternPlan {
-                cost: freq,
-                est_rows: freq,
-                step: PatternStep::Scan {
-                    vertex: pattern.vertex_ids()[0],
-                },
-            };
-            memo.insert(key, plan.clone());
-            return plan;
-        }
-        let comm = self.spec.comm_weight();
-        let mut best: Option<PatternPlan> = None;
-        // Expand candidates: remove a vertex whose removal keeps the remainder connected
-        for v in pattern.vertex_ids() {
-            if pattern.degree(v) == 0 {
-                continue;
-            }
-            let remainder = pattern.remove_vertex(v);
-            if remainder.vertex_count() == 0 || !remainder.is_connected() {
-                continue;
-            }
-            let edges = pattern.adjacent_edges(v);
-            let op_cost = self.spec.expand_cost(
-                self.estimator,
-                self.selectivity,
-                &remainder,
-                pattern,
-                v,
-                &edges,
-            );
-            let noncumulative = op_cost + comm * freq;
-            if !self.disable_pruning && best.is_some() && noncumulative >= budget {
-                continue; // branch cannot beat the known bound
-            }
-            let sub = self.search(&remainder, memo, budget);
-            let cost = sub.cost + noncumulative;
-            if best.as_ref().is_none_or(|b| cost < b.cost) {
-                best = Some(PatternPlan {
-                    cost,
-                    est_rows: freq,
-                    step: PatternStep::Expand {
-                        input: Box::new(sub),
-                        new_vertex: v,
-                        edges,
-                    },
-                });
-            }
-        }
-        // Join candidates
-        if pattern.edge_count() >= 2 && pattern.edge_count() <= self.max_join_edges {
-            let edge_ids = pattern.edge_ids();
-            let n = edge_ids.len();
-            // iterate proper non-empty subsets that contain the first edge (dedups the
-            // symmetric split)
-            for mask in 1u32..(1 << (n - 1)) {
-                let mut left_edges: BTreeSet<PatternEdgeId> = [edge_ids[0]].into_iter().collect();
-                let mut right_edges: BTreeSet<PatternEdgeId> = BTreeSet::new();
-                for (i, e) in edge_ids.iter().enumerate().skip(1) {
-                    if mask & (1 << (i - 1)) != 0 {
-                        left_edges.insert(*e);
-                    } else {
-                        right_edges.insert(*e);
-                    }
-                }
-                if right_edges.is_empty() {
-                    continue;
-                }
-                let left = pattern.induced_by_edges(&left_edges);
-                let right = pattern.induced_by_edges(&right_edges);
-                if !left.is_connected() || !right.is_connected() {
-                    continue;
-                }
-                let keys = left.common_vertices(&right);
-                if keys.is_empty() {
-                    continue;
-                }
-                let op_cost = self
-                    .spec
-                    .join_cost(self.estimator, self.selectivity, &left, &right);
-                let noncumulative = op_cost + comm * freq;
-                if !self.disable_pruning && best.is_some() && noncumulative >= budget {
-                    continue;
-                }
-                let sub_l = self.search(&left, memo, budget);
-                let sub_r = self.search(&right, memo, budget);
-                let cost = sub_l.cost + sub_r.cost + noncumulative;
-                if best.as_ref().is_none_or(|b| cost < b.cost) {
-                    best = Some(PatternPlan {
-                        cost,
-                        est_rows: freq,
-                        step: PatternStep::Join {
-                            left: Box::new(sub_l),
-                            right: Box::new(sub_r),
-                            keys,
-                        },
-                    });
-                }
-            }
-        }
-        let best = best.unwrap_or_else(|| self.greedy_initial(pattern));
-        memo.insert(key, best.clone());
-        best
     }
 }
 
@@ -826,6 +1040,109 @@ mod tests {
             "stats pick the Place scan"
         );
         assert_ne!(const_plan.binding_order(), stats_plan.binding_order());
+    }
+
+    /// QC4a's 7-vertex, 8-edge pattern, parsed against the 120-person LDBC graph,
+    /// with that graph's GLogue.
+    fn qc4a_env() -> (GLogue, Pattern) {
+        use gopt_glogue::GLogueConfig;
+        use gopt_workloads::{generate_ldbc_graph, qc_queries, LdbcScale};
+        let g = generate_ldbc_graph(&LdbcScale {
+            persons: 120,
+            seed: 42,
+        });
+        let glogue = GLogue::build(
+            &g,
+            &GLogueConfig {
+                max_pattern_vertices: 3,
+                max_anchors: Some(500),
+                seed: 9,
+            },
+        );
+        let qc4a = qc_queries().into_iter().find(|q| q.name == "QC4a").unwrap();
+        let logical = gopt_parser::parse_cypher(&qc4a.text, g.schema()).unwrap();
+        let pattern = logical.match_nodes()[0].1.clone();
+        (glogue, pattern)
+    }
+
+    /// The vertex and edge ids of a sub-pattern.
+    type Ids = (Vec<PatternVertexId>, Vec<PatternEdgeId>);
+
+    /// Counts, per (vertex set, edge set), the calls that reach the wrapped estimator.
+    struct Counting<'a> {
+        inner: &'a dyn CardEstimator,
+        calls: RefCell<std::collections::BTreeMap<Ids, usize>>,
+    }
+
+    impl Counting<'_> {
+        fn count(&self, p: &Pattern) {
+            *self
+                .calls
+                .borrow_mut()
+                .entry((p.vertex_ids(), p.edge_ids()))
+                .or_default() += 1;
+        }
+    }
+
+    impl CardEstimator for Counting<'_> {
+        fn pattern_freq(&self, p: &Pattern) -> f64 {
+            self.count(p);
+            self.inner.pattern_freq(p)
+        }
+
+        fn pattern_freq_with_filters(&self, p: &Pattern, sel: &dyn SelectivityEstimator) -> f64 {
+            self.count(p);
+            self.inner.pattern_freq_with_filters(p, sel)
+        }
+    }
+
+    #[test]
+    fn qc4a_plans_are_pinned_and_each_sub_pattern_is_estimated_once() {
+        let (glogue, pattern) = qc4a_env();
+        // (spec, binding order, joins, cost bits, est_rows bits), as planned by the
+        // brute-force canonicaliser and the `Vec`-keyed memo this search replaced
+        let pins = [
+            (
+                &GraphScopeSpec as &dyn PhysicalSpec,
+                [0, 3, 5, 1, 2, 6, 4],
+                0,
+                0x40ab_6219_bfd9_29f3,
+                0x4021_a3de_b08d_825c,
+            ),
+            (
+                &Neo4jSpec,
+                [6, 1, 0, 3, 5, 2, 4],
+                1,
+                0x40b1_565c_4bea_9456,
+                0x4021_a3de_b08d_825c,
+            ),
+        ];
+        for (spec, order, joins, cost, est_rows) in pins {
+            let gq = GlogueQuery::new(&glogue);
+            let counting = Counting {
+                inner: &gq,
+                calls: Default::default(),
+            };
+            let plan = PatternPlanner::new(&counting, spec).plan(&pattern);
+            let name = spec.name();
+            let got: Vec<usize> = plan.binding_order().iter().map(|v| v.0).collect();
+            assert_eq!(got, order, "{name}");
+            assert_eq!(plan.join_count(), joins, "{name}");
+            assert_eq!(plan.cost.to_bits(), cost, "{name}: cost {}", plan.cost);
+            assert_eq!(
+                plan.est_rows.to_bits(),
+                est_rows,
+                "{name}: rows {}",
+                plan.est_rows
+            );
+            // the GLogue cache holds one entry per isomorphism class met
+            assert_eq!(gq.cached_entries(), 154, "{name}");
+            let calls = counting.calls.borrow();
+            assert!(calls.len() > 100, "{name}: {} sub-patterns", calls.len());
+            for ((vs, es), n) in calls.iter() {
+                assert_eq!(*n, 1, "{name}: {vs:?} {es:?} estimated {n} times");
+            }
+        }
     }
 
     #[test]

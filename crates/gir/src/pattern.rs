@@ -449,25 +449,6 @@ impl Pattern {
         p
     }
 
-    /// Vertex ids shared with another sub-pattern of the *same* original pattern
-    /// (ids are comparable because sub-pattern extraction preserves them).
-    pub fn common_vertices(&self, other: &Pattern) -> Vec<PatternVertexId> {
-        self.vertices
-            .keys()
-            .filter(|id| other.vertices.contains_key(id))
-            .copied()
-            .collect()
-    }
-
-    /// Edge ids shared with another sub-pattern of the same original pattern.
-    pub fn common_edges(&self, other: &Pattern) -> Vec<PatternEdgeId> {
-        self.edges
-            .keys()
-            .filter(|id| other.edges.contains_key(id))
-            .copied()
-            .collect()
-    }
-
     /// The intersection sub-pattern (`P_s1 ∩ P_s2` in Eq. 1): common edges plus common
     /// vertices.
     pub fn intersection(&self, other: &Pattern) -> Pattern {
@@ -541,64 +522,97 @@ impl Pattern {
     }
 
     /// Canonical encoding of the pattern structure and type constraints, invariant under
-    /// renaming (re-identification) of pattern vertices and edges.
+    /// renaming (re-identification) of pattern vertices and edges: two patterns get equal
+    /// codes iff they are isomorphic as labelled directed multigraphs.
     ///
-    /// Tags, predicates and column lists are deliberately **not** part of the code: the
-    /// code identifies the statistical object (which labelled structure is being counted),
-    /// which is what GLogue keys on. Computed by brute force over vertex orderings, which
-    /// is fine for the small patterns (≤ 8 vertices) the optimizer and GLogue deal with.
+    /// The code covers vertex and edge type constraints, edge direction and hop range.
+    /// Tags, predicates, column lists and path semantics are deliberately **not** part of
+    /// it: the code identifies the statistical object (which labelled structure is being
+    /// counted), which is what GLogue keys on.
+    ///
+    /// The code is the smallest encoding over a restricted set of vertex orderings. Colour
+    /// refinement first splits the vertices into classes by isomorphism-invariant
+    /// signatures, as in nauty/Traces (McKay & Piperno, "Practical graph isomorphism,
+    /// II"). Only orderings that keep each class contiguous, classes in colour order, are
+    /// tried, permuting vertices within each class. Query patterns usually refine to
+    /// (nearly) singleton classes, so this is a handful of orderings where a brute force
+    /// over all `n!` would be thousands; a fully symmetric pattern (an all-`Person` cycle
+    /// or clique) refines to one class and still costs `n!`.
     pub fn canonical_code(&self) -> String {
-        let ids = self.vertex_ids();
-        let n = ids.len();
+        let n = self.vertices.len();
         if n == 0 {
             return "()".to_string();
         }
-        let mut best: Option<String> = None;
-        let mut perm: Vec<usize> = (0..n).collect();
-        permute(&mut perm, 0, &mut |perm| {
-            // position[i] = rank of vertex ids[i] under this permutation
-            let mut rank = BTreeMap::new();
-            for (i, &p) in perm.iter().enumerate() {
-                rank.insert(ids[i], p);
+        let ids = self.vertex_ids();
+        let index = |v: PatternVertexId| ids.binary_search(&v).expect("edge endpoint in pattern");
+        let vcodes: Vec<String> = self
+            .vertices
+            .values()
+            .map(|v| constraint_code(&v.constraint))
+            .collect();
+        let ecodes: Vec<String> = self
+            .edges
+            .values()
+            .map(|e| constraint_code(&e.constraint))
+            .collect();
+        let edges: Vec<LabelledEdge> = self
+            .edges
+            .values()
+            .zip(&ecodes)
+            .map(|(e, code)| {
+                let hops = e.path.map(|p| (p.min_hops, p.max_hops));
+                (index(e.src), index(e.dst), code.as_str(), hops)
+            })
+            .collect();
+        let colours = refine(ranks(&vcodes), &edges);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&v| colours[v]);
+        // class_end[i]: one past the last position of the colour class at position i
+        let mut class_end = vec![n; n];
+        for i in (0..n - 1).rev() {
+            if colours[order[i]] == colours[order[i + 1]] {
+                class_end[i] = class_end[i + 1];
+            } else {
+                class_end[i] = i + 1;
             }
-            let mut vcodes: Vec<(usize, String)> = self
-                .vertices
-                .values()
-                .map(|v| (rank[&v.id], constraint_code(&v.constraint)))
-                .collect();
-            vcodes.sort();
-            let mut ecodes: Vec<String> = self
-                .edges
-                .values()
-                .map(|e| {
-                    format!(
-                        "{}->{}:{}:{}",
-                        rank[&e.src],
-                        rank[&e.dst],
-                        constraint_code(&e.constraint),
-                        match e.path {
-                            None => "1".to_string(),
-                            Some(p) => format!("{}..{}", p.min_hops, p.max_hops),
-                        }
-                    )
-                })
-                .collect();
-            ecodes.sort();
-            let code = format!(
-                "V[{}]E[{}]",
-                vcodes
+        }
+        let mut position = vec![0; n];
+        let mut code: Vec<LabelledEdge> = Vec::with_capacity(edges.len());
+        let mut best: Option<Vec<LabelledEdge>> = None;
+        permute(&mut order, 0, &class_end, &mut |order| {
+            for (i, &v) in order.iter().enumerate() {
+                position[v] = i;
+            }
+            code.clear();
+            code.extend(
+                edges
                     .iter()
-                    .map(|(r, c)| format!("{r}:{c}"))
-                    .collect::<Vec<_>>()
-                    .join(","),
-                ecodes.join(",")
+                    .map(|&(s, d, l, h)| (position[s], position[d], l, h)),
             );
-            match &best {
-                Some(b) if *b <= code => {}
-                _ => best = Some(code),
+            code.sort_unstable();
+            if best.as_ref().is_none_or(|b| code < *b) {
+                best = Some(code.clone());
             }
         });
-        best.expect("non-empty pattern has a code")
+        // every allowed ordering lists the same vertex codes, since classes refine the
+        // constraint code and stay in colour order
+        let vpart: Vec<String> = order
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| format!("{i}:{}", vcodes[v]))
+            .collect();
+        let epart: Vec<String> = best
+            .expect("non-empty pattern has an ordering")
+            .iter()
+            .map(|&(s, d, l, h)| {
+                let hops = match h {
+                    None => "1".to_string(),
+                    Some((min, max)) => format!("{min}..{max}"),
+                };
+                format!("{s}->{d}:{l}:{hops}")
+            })
+            .collect();
+        format!("V[{}]E[{}]", vpart.join(","), epart.join(","))
     }
 
     /// Render the pattern using label names from a naming function.
@@ -646,15 +660,62 @@ fn constraint_code(c: &TypeConstraint) -> String {
     }
 }
 
-/// Enumerate all permutations of `items[at..]`, invoking `f` on each complete permutation.
-fn permute(items: &mut Vec<usize>, at: usize, f: &mut impl FnMut(&[usize])) {
+/// An edge as the canonical code sees it: (source index, destination index, constraint
+/// code, hop range of a path edge).
+type LabelledEdge<'a> = (usize, usize, &'a str, Option<(u32, u32)>);
+
+/// Rank of each item among the distinct items, in sorted order: a relabelling that
+/// depends only on the multiset of items, so it is isomorphism-invariant.
+fn ranks<T: Ord + Clone>(items: &[T]) -> Vec<usize> {
+    let mut distinct = items.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    items
+        .iter()
+        .map(|x| distinct.binary_search(x).expect("item is in its own set"))
+        .collect()
+}
+
+/// Colour refinement (1-dimensional Weisfeiler-Leman) of vertex colours over the edge
+/// list. Each round gives every vertex the signature (its colour, the sorted multiset
+/// of (direction, edge constraint, hop range, neighbour colour) over its incident
+/// edges) and re-colours vertices by the rank of their signature. `colours` must be
+/// ranks; signatures extend the previous colour, so classes only split and keep their
+/// relative order. Rounds stop once a round splits nothing.
+fn refine(mut colours: Vec<usize>, edges: &[LabelledEdge]) -> Vec<usize> {
+    type Signature<'a> = (usize, Vec<(bool, &'a str, Option<(u32, u32)>, usize)>);
+    let n = colours.len();
+    let mut classes = colours.iter().max().map_or(0, |m| m + 1);
+    while classes < n {
+        let mut sigs: Vec<Signature> = colours.iter().map(|&c| (c, Vec::new())).collect();
+        for &(s, d, l, h) in edges {
+            sigs[s].1.push((true, l, h, colours[d]));
+            sigs[d].1.push((false, l, h, colours[s]));
+        }
+        for sig in &mut sigs {
+            sig.1.sort_unstable();
+        }
+        let next = ranks(&sigs);
+        let split = next.iter().max().map_or(0, |m| m + 1);
+        colours = next;
+        if split == classes {
+            break;
+        }
+        classes = split;
+    }
+    colours
+}
+
+/// Enumerate the orderings of `items` that permute only within classes, invoking `f`
+/// on each: position `i` may take any item from positions `i..class_end[i]`.
+fn permute(items: &mut [usize], at: usize, class_end: &[usize], f: &mut impl FnMut(&[usize])) {
     if at == items.len() {
         f(items);
         return;
     }
-    for i in at..items.len() {
+    for i in at..class_end[at] {
         items.swap(at, i);
-        permute(items, at + 1, f);
+        permute(items, at + 1, class_end, f);
         items.swap(at, i);
     }
 }
@@ -673,6 +734,10 @@ impl fmt::Display for Pattern {
 mod tests {
     use super::*;
     use gopt_graph::LabelId;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     const PERSON: LabelId = LabelId(0);
     const PRODUCT: LabelId = LabelId(1);
@@ -735,10 +800,8 @@ mod tests {
         // common vertices / intersection between two sub-patterns
         let left = p.induced_by_edges(&[e_ids[0]].into_iter().collect()); // v1-v2
         let right = p.induced_by_edges(&[e_ids[1]].into_iter().collect()); // v2-v3
-        assert_eq!(left.common_vertices(&right), vec![v2]);
-        assert!(left.common_edges(&right).is_empty());
         let inter = left.intersection(&right);
-        assert_eq!(inter.vertex_count(), 1);
+        assert_eq!(inter.vertex_ids(), vec![v2]);
         assert_eq!(inter.edge_count(), 0);
     }
 
@@ -783,6 +846,261 @@ mod tests {
         p4.add_edge(a, b, TypeConstraint::all());
         p4.add_edge(b, c, TypeConstraint::all());
         assert_ne!(p3.canonical_code(), p4.canonical_code());
+    }
+
+    /// The canonicaliser colour refinement replaced: the smallest code over all `n!`
+    /// vertex orderings, compared as strings. The oracle for the tests below.
+    fn brute_force_code(p: &Pattern) -> String {
+        let ids = p.vertex_ids();
+        let n = ids.len();
+        if n == 0 {
+            return "()".to_string();
+        }
+        let mut best: Option<String> = None;
+        let mut perm: Vec<usize> = (0..n).collect();
+        permute(&mut perm, 0, &vec![n; n], &mut |perm| {
+            let rank: BTreeMap<PatternVertexId, usize> =
+                ids.iter().copied().zip(perm.iter().copied()).collect();
+            let mut vcodes: Vec<(usize, String)> = p
+                .vertices()
+                .map(|v| (rank[&v.id], constraint_code(&v.constraint)))
+                .collect();
+            vcodes.sort();
+            let mut ecodes: Vec<String> = p
+                .edges()
+                .map(|e| {
+                    format!(
+                        "{}->{}:{}:{}",
+                        rank[&e.src],
+                        rank[&e.dst],
+                        constraint_code(&e.constraint),
+                        match e.path {
+                            None => "1".to_string(),
+                            Some(p) => format!("{}..{}", p.min_hops, p.max_hops),
+                        }
+                    )
+                })
+                .collect();
+            ecodes.sort();
+            let code = format!(
+                "V[{}]E[{}]",
+                vcodes
+                    .iter()
+                    .map(|(r, c)| format!("{r}:{c}"))
+                    .collect::<Vec<_>>()
+                    .join(","),
+                ecodes.join(",")
+            );
+            if best.as_ref().is_none_or(|b| code < *b) {
+                best = Some(code);
+            }
+        });
+        best.expect("non-empty pattern has a code")
+    }
+
+    /// A vertex constraint from a small alphabet (so symmetric patterns are common):
+    /// 2-3 labels, `All` and a union.
+    fn random_vertex_constraint(rng: &mut SmallRng, labels: u16) -> TypeConstraint {
+        match rng.gen_range(0..8u32) {
+            0 => TypeConstraint::all(),
+            1 => TypeConstraint::union([LabelId(0), LabelId(1)]),
+            _ => TypeConstraint::basic(LabelId(rng.gen_range(0..labels))),
+        }
+    }
+
+    fn random_edge_constraint(rng: &mut SmallRng) -> TypeConstraint {
+        match rng.gen_range(0..6u32) {
+            0 => TypeConstraint::all(),
+            1 => TypeConstraint::union([KNOWS, LOCATED]),
+            2 | 3 => TypeConstraint::basic(LOCATED),
+            _ => TypeConstraint::basic(KNOWS),
+        }
+    }
+
+    fn random_path(rng: &mut SmallRng) -> Option<PathSpec> {
+        rng.gen_bool(0.15).then(|| {
+            let min_hops = rng.gen_range(1..3u32);
+            PathSpec {
+                min_hops,
+                max_hops: min_hops + rng.gen_range(0..2u32),
+                semantics: PathSemantics::Arbitrary,
+            }
+        })
+    }
+
+    /// A random pattern of at most 6 vertices: parallel and antiparallel edges, the odd
+    /// self-loop, path edges, and not necessarily connected. A third are all-`Person`,
+    /// all-`Knows` patterns, whose colour classes refinement often cannot split.
+    fn random_pattern(rng: &mut SmallRng) -> Pattern {
+        let mut p = Pattern::new();
+        let labels = rng.gen_range(2..4u16);
+        let uniform = rng.gen_bool(0.33);
+        let n = rng.gen_range(1..7usize);
+        let vs: Vec<PatternVertexId> = (0..n)
+            .map(|_| match uniform {
+                true => p.add_vertex(TypeConstraint::basic(PERSON)),
+                false => p.add_vertex(random_vertex_constraint(rng, labels)),
+            })
+            .collect();
+        for _ in 0..rng.gen_range(0..(2 * n + 1)) {
+            let (src, dst) = if p.edge_count() > 0 && rng.gen_bool(0.2) {
+                // parallel or antiparallel to an existing edge
+                let e = p.edge(PatternEdgeId(rng.gen_range(0..p.edge_count())));
+                if rng.gen_bool(0.5) {
+                    (e.src, e.dst)
+                } else {
+                    (e.dst, e.src)
+                }
+            } else {
+                let src = vs[rng.gen_range(0..n)];
+                let dst = vs[rng.gen_range(0..n)];
+                if src == dst && !rng.gen_bool(0.1) {
+                    continue;
+                }
+                (src, dst)
+            };
+            if uniform {
+                p.add_edge(src, dst, TypeConstraint::basic(KNOWS));
+            } else {
+                let constraint = random_edge_constraint(rng);
+                let path = random_path(rng);
+                p.add_edge_full(src, dst, None, constraint, None, path);
+            }
+        }
+        p
+    }
+
+    /// The same pattern with its vertices and edges re-inserted in random orders.
+    fn reinserted(p: &Pattern, rng: &mut SmallRng) -> Pattern {
+        let mut vs = p.vertex_ids();
+        vs.shuffle(rng);
+        let mut es = p.edge_ids();
+        es.shuffle(rng);
+        let mut q = Pattern::new();
+        let map: BTreeMap<PatternVertexId, PatternVertexId> = vs
+            .iter()
+            .map(|&v| (v, q.add_vertex(p.vertex(v).constraint.clone())))
+            .collect();
+        for e in es {
+            let e = p.edge(e);
+            q.add_edge_full(
+                map[&e.src],
+                map[&e.dst],
+                None,
+                e.constraint.clone(),
+                None,
+                e.path,
+            );
+        }
+        q
+    }
+
+    /// `p` with one small edit that may or may not preserve its isomorphism class:
+    /// one edge flipped, two vertex constraints swapped, or one constraint or hop range
+    /// redrawn.
+    fn mutated(p: &Pattern, rng: &mut SmallRng) -> Pattern {
+        let mut q = p.clone();
+        let n = q.vertex_count();
+        match rng.gen_range(0..5u32) {
+            0 if q.edge_count() > 0 => {
+                let e = q.edge_mut(PatternEdgeId(rng.gen_range(0..p.edge_count())));
+                std::mem::swap(&mut e.src, &mut e.dst);
+            }
+            1 => {
+                let a = PatternVertexId(rng.gen_range(0..n));
+                let b = PatternVertexId(rng.gen_range(0..n));
+                let ca = q.vertex(a).constraint.clone();
+                let cb = std::mem::replace(&mut q.vertex_mut(b).constraint, ca);
+                q.vertex_mut(a).constraint = cb;
+            }
+            2 => {
+                let v = PatternVertexId(rng.gen_range(0..n));
+                q.vertex_mut(v).constraint = random_vertex_constraint(rng, 3);
+            }
+            3 if q.edge_count() > 0 => {
+                let e = PatternEdgeId(rng.gen_range(0..p.edge_count()));
+                q.edge_mut(e).constraint = random_edge_constraint(rng);
+            }
+            _ if q.edge_count() > 0 => {
+                let e = PatternEdgeId(rng.gen_range(0..p.edge_count()));
+                q.edge_mut(e).path = random_path(rng);
+            }
+            _ => {}
+        }
+        q
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn canonical_code_is_invariant_under_reinsertion(seed in 0u64..u64::MAX) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let p = random_pattern(&mut rng);
+            let q = reinserted(&p, &mut rng);
+            prop_assert_eq!(p.canonical_code(), q.canonical_code(), "{} vs {}", p, q);
+        }
+
+        #[test]
+        fn canonical_codes_agree_with_brute_force(seed in 0u64..u64::MAX) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let a = random_pattern(&mut rng);
+            let b = if rng.gen_bool(0.2) {
+                random_pattern(&mut rng)
+            } else {
+                reinserted(&mutated(&a, &mut rng), &mut rng)
+            };
+            let same = a.canonical_code() == b.canonical_code();
+            let oracle_same = brute_force_code(&a) == brute_force_code(&b);
+            prop_assert_eq!(same, oracle_same, "{} vs {}", a, b);
+        }
+    }
+
+    #[test]
+    fn symmetric_patterns_refine_to_one_class_and_still_separate() {
+        // a directed 4-cycle of Persons: every vertex has one Knows in and one out
+        let cycle =
+            |n: usize| -> Vec<(usize, usize)> { (0..n).map(|i| (i, (i + 1) % n)).collect() };
+        let build = |n: usize, edges: &[(usize, usize)]| {
+            let mut p = Pattern::new();
+            let vs: Vec<_> = (0..n)
+                .map(|_| p.add_vertex(TypeConstraint::basic(PERSON)))
+                .collect();
+            for &(s, d) in edges {
+                p.add_edge(vs[s], vs[d], TypeConstraint::basic(KNOWS));
+            }
+            p
+        };
+        let keyed = |edges: &[(usize, usize)]| -> Vec<LabelledEdge> {
+            edges.iter().map(|&(s, d)| (s, d, "0", None)).collect()
+        };
+        let k4: Vec<(usize, usize)> = (0..4)
+            .flat_map(|i| (0..4).filter(move |&j| j != i).map(move |j| (i, j)))
+            .collect();
+        let two_triangles: Vec<(usize, usize)> = cycle(3)
+            .into_iter()
+            .chain(cycle(3).into_iter().map(|(s, d)| (s + 3, d + 3)))
+            .collect();
+        for edges in [cycle(4), k4.clone(), cycle(6), two_triangles.clone()] {
+            let n = edges.iter().map(|&(s, d)| s.max(d)).max().unwrap() + 1;
+            let colours = refine(vec![0; n], &keyed(&edges));
+            assert!(colours.iter().all(|&c| c == 0), "one class: {colours:?}");
+        }
+        let mut rng = SmallRng::seed_from_u64(7);
+        let c4 = build(4, &cycle(4));
+        let k4 = build(4, &k4);
+        let c6 = build(6, &cycle(6));
+        let tt = build(6, &two_triangles);
+        for p in [&c4, &k4, &c6, &tt] {
+            assert_eq!(p.canonical_code(), reinserted(p, &mut rng).canonical_code());
+        }
+        // refinement cannot tell a 6-cycle from two triangles; the ordering search can
+        assert_ne!(c6.canonical_code(), tt.canonical_code());
+        assert_ne!(brute_force_code(&c6), brute_force_code(&tt));
+        // one flipped edge breaks the cycle's symmetry
+        let mut flipped = cycle(4);
+        flipped[0] = (1, 0);
+        assert_ne!(c4.canonical_code(), build(4, &flipped).canonical_code());
     }
 
     #[test]

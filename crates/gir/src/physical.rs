@@ -18,8 +18,7 @@
 //!   `Limit`, `Dedup`, `Union`).
 //!
 //! The paper serialises physical plans with Protocol Buffers to ship them to backends;
-//! here [`PhysicalPlan::encode`] produces an equivalent line-oriented textual encoding
-//! (see DESIGN.md, substitution table).
+//! here [`PhysicalPlan::encode`] produces an equivalent line-oriented textual encoding.
 
 use crate::expr::{AggFunc, Expr, SortDir};
 use crate::logical::JoinType;

@@ -3,7 +3,7 @@
 //! GOpt supports multiple query languages by lowering each of them into the same unified
 //! GIR (`gopt-gir`). The paper builds its front-ends with ANTLR; this crate substitutes
 //! hand-written recursive-descent parsers covering the language subsets exercised by the
-//! paper's examples and workloads (see DESIGN.md):
+//! paper's examples and workloads:
 //!
 //! * [`cypher`] — `MATCH` patterns (including variable-length paths), `WHERE`, `WITH`,
 //!   `RETURN` (with aggregates), `ORDER BY`, `LIMIT`, `UNION`;

@@ -3,7 +3,7 @@
 //! The paper evaluates GOpt on the LDBC Social Network Benchmark (Interactive and
 //! Business Intelligence workloads) plus four purpose-built query sets (QR, QT, QC, ST)
 //! and a production fraud-detection case study. This crate provides laptop-scale,
-//! fully synthetic stand-ins (see DESIGN.md's substitution table):
+//! fully synthetic stand-ins:
 //!
 //! * [`ldbc`] — an LDBC-SNB-like schema and a scalable social-network generator with
 //!   power-law degree skew (Table 3's G30…G1000 become configurable scale factors);
